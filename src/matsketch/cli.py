@@ -1,6 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parameter/usage error, 2 solver non-convergence.
+Exit codes, each failure with a one-line ``error:`` message on stderr:
+
+    0  success
+    1  parameter or usage error
+    2  solver non-convergence
+    3  file error (OSError: a missing or unreadable input, an unwritable --out)
+    4  bad configuration (--config or --pipeline-config is not valid JSON,
+       or --config names a field SolverOptions does not have)
+    5  solver failure (RuntimeError, e.g. the LP behind solve_p1 failed)
 """
 
 from __future__ import annotations
@@ -37,10 +45,17 @@ def _common_flags(sub):
                      help="clip multi-edge adjacency counts to 0/1")
 
 
+class ConfigError(Exception):
+    """A configuration file that does not describe valid options."""
+
+
 def _opts(args) -> SolverOptions:
-    if args.config:
+    if not args.config:
+        return SolverOptions()
+    try:
         return SolverOptions.from_json(args.config)
-    return SolverOptions()
+    except (json.JSONDecodeError, TypeError) as exc:  # TypeError: unknown field or bad value
+        raise ConfigError(f"{args.config}: {exc}") from None
 
 
 def _outpath(args, name: str) -> str:
@@ -354,8 +369,18 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
+    except OSError as exc:
+        return _fail(exc, 3)
+    except (ConfigError, json.JSONDecodeError) as exc:
+        return _fail(exc, 4)
+    except RuntimeError as exc:
+        return _fail(exc, 5)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

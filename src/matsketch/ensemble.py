@@ -17,9 +17,6 @@ ZERO_TOL = 1e-12
 #: minimum magnitude placed on a support cell by gen_distributed_matrix
 VALUE_FLOOR = 1e-3
 
-#: never materialize the p^2 x m^2 tensor edge list above this left size
-TENSOR_MATERIALIZE_CAP = 64
-
 
 class ParameterError(ValueError):
     """Raised for out-of-range or degenerate parameter requests."""

@@ -219,12 +219,10 @@ def phase_diagram(
     if workers == 1:
         results = map(_cell_successes, jobs)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_cell_successes, jobs, chunksize=4)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_cell_successes, jobs, chunksize=4))
     for p, m, wins in results:
         rate[p_values.index(p), m_values.index(m)] = wins / trials
-    if workers != 1:
-        pool.shutdown()
     return PhaseGrid(
         p_values=p_values,
         m_values=m_values,

@@ -5,8 +5,13 @@ solve_p2    min ||A X B^T - Y||_2^2 + lam*||X||_1   (monotone FISTA)
 solve_constrained
             min ||X||_1  s.t.  ||A X B^T - Y||_2 <= kappa
                                                     (bisection over lam in P2)
-lp_oracle   exact LP solution on materialized small instances, used to
-            validate the iterative path.
+lp_oracle   exact LP solution on small instances, used to validate the
+            iterative path.
+
+solve_p1 runs ADMM for at most ADMM_BUDGET iterations. An instance still
+undecided then goes to an exact working-set LP, unless the caller capped
+max_iter at or below the budget. lp_oracle is that same LP with every
+column in the set from the start.
 """
 
 from __future__ import annotations
@@ -17,9 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .ensemble import ParameterError
-from .operator import SketchOperator, kron_materialize, vec, unvec
+from .operator import SketchOperator, vec, unvec
+
+#: ADMM iterations before an undecided instance goes to the exact LP;
+#: recoverable instances snap by iteration 250-750 (the slowest seen: 4500)
+ADMM_BUDGET = 5000
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,14 @@ def _feas_residual(op: SketchOperator, X: np.ndarray, Y: np.ndarray) -> float:
     )
 
 
+def _kron_columns(op: SketchOperator, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns of kron(B, A) for cells (rows[k], cols[k]), as a dense
+    m^2 x len(rows) matrix; the column of cell (i, j) is kron(B[:, j], A[:, i])."""
+    return (op.B[:, cols][:, None, :] * op.A[:, rows][None, :, :]).reshape(
+        op.m * op.m, rows.size
+    )
+
+
 def _refine_on_support(
     op: SketchOperator, Y: np.ndarray, Z: np.ndarray, objective: float
 ) -> np.ndarray | None:
@@ -129,10 +147,7 @@ def _refine_on_support(
         if rows.size == 0 or rows.size > Y.size or rows.size in tried:
             continue
         tried.add(rows.size)
-        # column of kron(B, A) for cell (i, j) is kron(B[:, j], A[:, i])
-        cols_mat = (
-            op.B[:, cols][:, None, :] * op.A[:, rows][None, :, :]
-        ).reshape(Y.size, rows.size)
+        cols_mat = _kron_columns(op, rows, cols)
         sol, *_ = np.linalg.lstsq(cols_mat, y, rcond=None)
         if np.linalg.norm(cols_mat @ sol - y) > 1e-10 * y_scale:
             continue
@@ -142,6 +157,58 @@ def _refine_on_support(
             X_ref[rows, cols] = sol
             best, best_obj = X_ref, obj
     return best
+
+
+def _working_set_lp(
+    op: SketchOperator, Y: np.ndarray, score: np.ndarray, in_set: np.ndarray
+) -> tuple:
+    """Exact min ||X||_1 s.t. A X B^T = Y over a growing set of columns.
+
+    Solves min 1^T (u + v) s.t. [K_S, -K_S] [u; v] = vec(Y), u, v >= 0 by
+    HiGHS, with K_S the columns of kron(B, A) for the cells in ``in_set``
+    (a boolean p1 x p2 mask). The equality duals price every cell with one
+    adjoint; when no cell outside the set prices above 1 the LP dual is
+    feasible for the full program, which certifies the answer optimal.
+    Otherwise the highest-priced outside cells are added, at least doubling
+    the set. A set whose columns do not span Y grows along ``score``.
+    Returns (X, info) and raises RuntimeError when HiGHS fails.
+    """
+    y = vec(Y)
+    in_set = in_set.copy()
+    if not in_set.any():
+        in_set.flat[np.argmax(score)] = True  # linprog needs a variable
+    rounds = simplex_iterations = 0
+    while True:
+        rounds += 1
+        rows, cols = np.nonzero(in_set)
+        K = scipy.sparse.csc_array(_kron_columns(op, rows, cols))
+        lp = scipy.optimize.linprog(
+            np.ones(2 * rows.size),
+            A_eq=scipy.sparse.hstack([K, -K], format="csc"),
+            b_eq=y,
+            bounds=(0, None),
+            method="highs",
+        )
+        simplex_iterations += int(lp.nit)
+        if lp.status == 2 and not in_set.all():
+            priority = score
+        elif lp.success:
+            priority = np.abs(op.adjoint(unvec(lp.eqlin.marginals, op.m, op.m)))
+            if priority[~in_set].max(initial=0.0) <= 1.0 + 1e-9:
+                break
+        else:
+            raise RuntimeError(f"LP failed: {lp.message}")
+        outside = np.flatnonzero(~in_set)
+        order = np.argsort(-priority.flat[outside], kind="stable")
+        in_set.flat[outside[order[: rows.size]]] = True
+    X = np.zeros((op.p1, op.p2))
+    X[rows, cols] = lp.x[: rows.size] - lp.x[rows.size :]
+    info = {
+        "rounds": rounds,
+        "columns": int(rows.size),
+        "simplex_iterations": simplex_iterations,
+    }
+    return X, info
 
 
 def solve_p1(
@@ -160,6 +227,14 @@ def solve_p1(
     feasible to machine precision, does not increase the objective, and
     lies next to the iterate, which finishes the tail of the linear
     convergence in one step.
+
+    ADMM runs at most min(opts.max_iter, ADMM_BUDGET) iterations. When it
+    has not stopped by then and opts.max_iter exceeds the budget, the
+    instance goes to the exact working-set LP, seeded with the m^2 largest
+    entries of the projected iterate and the cells whose scaled dual is at
+    least 0.99 in magnitude; ``diagnostics["lp"]`` then reports its rounds.
+    A max_iter at or below the budget is a cap: the run ends there,
+    unconverged.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (op.m, op.m):
@@ -172,9 +247,9 @@ def solve_p1(
     Z = np.zeros(shape)
     U = np.zeros(shape)
     rho = opts.rho
-    iterations = opts.max_iter
     refined = None
-    for it in range(1, opts.max_iter + 1):
+    stopped = False
+    for iterations in range(1, min(opts.max_iter, ADMM_BUDGET) + 1):
         X = proj.project(Z - U, Y)
         Z_prev = Z
         X_hat = alpha * X + (1.0 - alpha) * Z_prev
@@ -184,9 +259,9 @@ def solve_p1(
         s_norm = rho * np.linalg.norm(Z - Z_prev)
         tol = opts.tol_obj * max(1.0, np.linalg.norm(Z))
         if r_norm <= tol and s_norm <= tol:
-            iterations = it
+            stopped = True
             break
-        if it % refine_every == 0:
+        if iterations % refine_every == 0:
             X_proj = proj.project(Z, Y)
             cand = _refine_on_support(op, Y, Z, float(np.abs(X_proj).sum()))
             if cand is not None and (
@@ -194,7 +269,7 @@ def solve_p1(
                 <= 1e-2 * max(1.0, np.abs(cand).max())
             ):
                 refined = cand
-                iterations = it
+                stopped = True
                 break
         if r_norm > 10.0 * s_norm:
             rho *= 2.0
@@ -203,25 +278,30 @@ def solve_p1(
             rho /= 2.0
             U *= 2.0
 
-    if refined is None:
-        X_star = proj.project(Z, Y)
-        cand = _refine_on_support(op, Y, Z, float(np.abs(X_star).sum()))
-        if cand is not None:
-            refined = cand
+    diagnostics = {"rho_final": rho, "support_snap": refined is not None}
     if refined is not None:
         X_star = refined
-        snapped = True
     else:
-        snapped = False
+        X_star = proj.project(Z, Y)
+        if not stopped and opts.max_iter > ADMM_BUDGET:
+            score = np.abs(X_star)
+            seed = np.abs(rho * U) >= 0.99
+            seed.flat[np.argsort(-score, axis=None, kind="stable")[: op.m * op.m]] = True
+            X_star, diagnostics["lp"] = _working_set_lp(op, Y, score, seed)
+            stopped = True
+        else:
+            cand = _refine_on_support(op, Y, Z, float(np.abs(X_star).sum()))
+            if cand is not None:
+                X_star = cand
+                diagnostics["support_snap"] = True
     feas = _feas_residual(op, X_star, Y)
-    converged = iterations < opts.max_iter and feas <= opts.tol_feas
     return RecoveryResult(
         x=X_star,
         objective=float(np.abs(X_star).sum()),
         feas_residual=feas,
         iterations=iterations,
-        converged=converged,
-        diagnostics={"rho_final": rho, "support_snap": snapped},
+        converged=stopped and feas <= opts.tol_feas,
+        diagnostics=diagnostics,
     )
 
 
@@ -289,12 +369,15 @@ def solve_p2(
                 if F_new <= F:
                     break
                 local_step /= 2.0
+            else:
+                # every halving failed: keep the last accepted iterate
+                X_new, F_new = X, F
             t = 1.0
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         V = X_new + ((t - 1.0) / t_new) * (X_new - X)
         t = t_new
         done = abs(F - F_new) <= opts.tol_obj * (1.0 + abs(F_new))
-        X, F = X_new, min(F_new, F)
+        X, F = X_new, F_new
         if done:
             iterations = it
             break
@@ -371,42 +454,22 @@ def lp_oracle(
     op: SketchOperator, Y: np.ndarray, p_cap: int = 10, m_cap: int = 8
 ) -> RecoveryResult:
     """Exact solution of the LP reformulation of the equality program:
-    min sum(t) s.t. -t <= x <= t, kron(B, A) x = vec(Y).
-
-    Restricted to small instances where materializing the Kronecker
-    system is cheap; used as the optimality oracle for solve_p1.
+    the working-set LP of solve_p1 with every column of kron(B, A) in the
+    set. Kept to small instances; used as the optimality oracle for
+    solve_p1.
     """
     if max(op.p1, op.p2) > p_cap or op.m > m_cap:
         raise ParameterError(
             f"lp_oracle guard: p <= {p_cap} and m <= {m_cap} required"
         )
     Y = np.asarray(Y, dtype=float)
-    K = kron_materialize(op)
-    n = K.shape[1]
-    # variables [x; t]
-    c = np.concatenate([np.zeros(n), np.ones(n)])
-    eye = np.eye(n)
-    A_ub = np.block([[eye, -eye], [-eye, -eye]])
-    b_ub = np.zeros(2 * n)
-    A_eq = np.hstack([K, np.zeros((K.shape[0], n))])
-    b_eq = vec(Y)
-    lp = scipy.optimize.linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * n + [(0, None)] * n,
-        method="highs",
-    )
-    if not lp.success:
-        raise RuntimeError(f"LP oracle failed: {lp.message}")
-    X = unvec(lp.x[:n], op.p1, op.p2)
+    shape = (op.p1, op.p2)
+    X, info = _working_set_lp(op, Y, np.zeros(shape), np.ones(shape, dtype=bool))
     return RecoveryResult(
         x=X,
         objective=float(np.abs(X).sum()),
         feas_residual=_feas_residual(op, X, Y),
-        iterations=int(lp.nit),
+        iterations=info["simplex_iterations"],
         converged=True,
-        diagnostics={"lp_status": int(lp.status)},
+        diagnostics={"lp": info},
     )

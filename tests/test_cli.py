@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+import matsketch.cli
 from matsketch.cli import main
 from matsketch.ensemble import load_graph, load_matrix_csv
 
@@ -124,3 +125,32 @@ def test_arrow_demo_cli(capsys):
     assert run(["arrow-demo", "--p", "20", "--m", "12", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "identical sketches" in out
+
+
+def test_missing_file_is_a_file_error(tmp_path, capsys):
+    assert run(["sketch", "--graph", str(tmp_path / "absent.txt"),
+                "--matrix", str(tmp_path / "absent.csv"),
+                "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_solver_config_is_a_config_error(tmp_path, capsys):
+    args = ["recover", "--p", "10", "--m", "8", "--d", "2", "--delta", "3",
+            "--seed", "5", "--out", str(tmp_path), "--config"]
+    cfg = tmp_path / "opts.json"
+    for text in ("{not json", json.dumps({"max_iters": 10})):
+        cfg.write_text(text)
+        assert run(args + [str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solver_failure_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    def failing_trial(cfg, opts):
+        raise RuntimeError("LP failed: numerical trouble")
+
+    monkeypatch.setattr(matsketch.cli, "run_trial", failing_trial)
+    assert run(["recover", "--p", "10", "--m", "8", "--d", "2",
+                "--out", str(tmp_path)]) == 5
+    assert capsys.readouterr().err == "error: LP failed: numerical trouble\n"

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ def test_phase_diagram_worker_count_invariance():
     b = phase_diagram(ps, ms, 3, 2, 77, delta=3, threads=2)
     assert np.array_equal(a.success_rate, b.success_rate)
     assert a.trials_per_cell == 3
+
+
+def test_phase_diagram_shuts_its_pool_down_when_a_cell_raises():
+    # d=0 passes phase_diagram but fails TrialConfig inside a worker
+    with pytest.raises(ParameterError):
+        phase_diagram([6, 10], [4, 8], 1, 0, 77, delta=3, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_phase_diagram_rejects_unsorted_lists():

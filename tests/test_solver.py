@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from matsketch.ensemble import (
     ParameterError,
@@ -10,11 +13,14 @@ from matsketch.ensemble import (
     gen_left_regular,
     gen_screened_graph,
 )
+from matsketch.harness import TrialConfig, derive_seed
 from matsketch.operator import SketchOperator
 from matsketch.solver import (
+    ADMM_BUDGET,
     AffineProjector,
     SolverOptions,
     _operator_sq_norm,
+    _working_set_lp,
     lp_oracle,
     soft_threshold,
     solve_constrained,
@@ -132,6 +138,62 @@ def test_p1_nonconvergence_is_flagged_not_raised():
     assert not res.converged
 
 
+def trial_instance(p, m, seed, delta=None):
+    """The operator and sketch that run_trial builds for this seed."""
+    cfg = TrialConfig(p=p, m=m, d=4, delta=delta, seed=seed)
+    g = gen_screened_graph(p, m, cfg.effective_delta, derive_seed(seed, "graph"))
+    op = SketchOperator.from_graphs(g)
+    sup = gen_distributed_support(p, 4, derive_seed(seed, "support"),
+                                  n_off=cfg.effective_off_cells)
+    X = gen_distributed_matrix(sup, cfg.value_spec, derive_seed(seed, "values"))
+    return op, X, op.forward(X)
+
+
+def test_p1_hands_an_undecided_instance_to_the_lp():
+    # far below the boundary: ADMM spends its budget and the LP decides
+    op, X, Y = trial_instance(40, 8, derive_seed(6544, "below", 40, 8, 0))
+    res = solve_p1(op, Y)
+    assert res.converged and "lp" in res.diagnostics
+    assert res.iterations == ADMM_BUDGET
+    assert abs(res.objective - 16.924882) <= 1e-6
+    assert res.feas_residual <= 1e-8
+
+
+def test_p1_recoverable_instance_snaps_without_the_lp():
+    op, X, Y = trial_instance(40, 21, derive_seed(7, "c1", 0), delta=4)
+    res = solve_p1(op, Y)
+    assert res.converged and res.diagnostics["support_snap"]
+    assert res.iterations <= 750 and "lp" not in res.diagnostics
+    assert np.abs(res.x - X).max() <= 1e-8
+
+
+def full_sparse_lp(op, Y):
+    """min 1^T (u + v) s.t. [K, -K] [u; v] = vec(Y), u, v >= 0, K = kron(B, A)."""
+    K = scipy.sparse.kron(scipy.sparse.csc_matrix(op.B), scipy.sparse.csc_matrix(op.A))
+    lp = scipy.optimize.linprog(
+        np.ones(2 * K.shape[1]), A_eq=scipy.sparse.hstack([K, -K]),
+        b_eq=Y.reshape(-1, order="F"), bounds=(0, None), method="highs",
+    )
+    assert lp.success
+    return lp.fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(3, 12))
+def test_working_set_lp_reaches_the_full_lp_optimum(inst_seed, set_seed, p):
+    op, X, Y = small_instance(inst_seed, p=p, d=3)
+    rng = np.random.default_rng(set_seed)
+    shape = (op.p1, op.p2)
+    # any starting set, the empty one included, and any growth order
+    in_set = rng.random(shape) < rng.choice([0.0, 0.1, 0.5, 1.0])
+    score = rng.random(shape) * rng.integers(0, 2)
+    X_ws, info = _working_set_lp(op, Y, score, in_set)
+    obj = full_sparse_lp(op, Y)
+    assert abs(np.abs(X_ws).sum() - obj) <= 1e-9 * max(1.0, obj)
+    assert np.linalg.norm(op.forward(X_ws) - Y) <= 1e-8 * max(1.0, np.linalg.norm(Y))
+    assert info["columns"] <= op.p1 * op.p2
+
+
 # --- penalized program ------------------------------------------------------
 
 
@@ -170,6 +232,16 @@ def test_p2_matches_long_run_proximal_oracle():
         Z = Z_new
     obj_oracle = float(np.sum((op.forward(Z) - Y) ** 2) + lam * np.abs(Z).sum())
     assert abs(res.diagnostics["penalized_objective"] - obj_oracle) <= 1e-8
+
+
+def test_p2_keeps_the_last_accepted_iterate_when_backtracking_fails():
+    # a far too small norm estimate makes every halved step overshoot
+    op, X, Y = small_instance(0)
+    lam = 0.1
+    res = solve_p2(op, Y, lam, sq_norm=1e-30)
+    F = float(np.sum((op.forward(res.x) - Y) ** 2) + lam * np.abs(res.x).sum())
+    assert np.isfinite(F)
+    assert res.diagnostics["penalized_objective"] == F
 
 
 def test_p2_rejects_nonpositive_penalty():
