@@ -276,16 +276,17 @@ def _cmd_cov_sketch(args) -> int:
         clip_binary=args.clip_binary
     )
     sigma_z = pipelines.cov_sketch(stream, A)
+    opts = _opts(args)
     mode = cfg.get("mode", "constrained")
     if mode == "constrained":
         kappa = cfg.get("kappa")
         if kappa is None:
             grid = cfg.get("kappa_grid")
             grid = np.asarray(grid, dtype=float) if grid else None
-            kappa = pipelines.select_kappa_cv(A, stream, grid=grid, seed=seed)
-        res = pipelines.recover_covariance(A, sigma_z, "constrained", kappa=kappa)
+            kappa = pipelines.select_kappa_cv(A, stream, grid=grid, opts=opts, seed=seed)
+        res = pipelines.recover_covariance(A, sigma_z, "constrained", kappa=kappa, opts=opts)
     else:
-        res = pipelines.recover_covariance(A, sigma_z, "exact")
+        res = pipelines.recover_covariance(A, sigma_z, "exact", opts=opts)
     ensemble.save_matrix_csv(res.x, _outpath(args, "covariance.csv"))
     rel_err = float(np.abs(res.x - sigma).sum() / np.abs(sigma).sum())
     summary = {"relative_l1_error": rel_err, "result": json.loads(res.to_json())}

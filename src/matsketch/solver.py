@@ -4,7 +4,7 @@ solve_p1    min ||X||_1  s.t.  A X B^T = Y          (ADMM, exact affine step)
 solve_p2    min ||A X B^T - Y||_2^2 + lam*||X||_1   (monotone FISTA)
 solve_constrained
             min ||X||_1  s.t.  ||A X B^T - Y||_2 <= kappa
-                                                    (bisection over lam in P2)
+                                  (descent over lam in P2, then bisection)
 lp_oracle   exact LP solution on small instances, used to validate the
             iterative path.
 
@@ -12,6 +12,11 @@ solve_p1 runs ADMM for at most ADMM_BUDGET iterations. An instance still
 undecided then goes to an exact working-set LP, unless the caller capped
 max_iter at or below the budget. lp_oracle is that same LP with every
 column in the set from the start.
+
+solve_constrained follows the penalty path of solve_p2 down from
+lam_hi = 2 max|A^T Y B|, where X = 0, by a factor LAM_STEP per
+warm-started solve, until the residual first meets kappa; a bisection
+inside that last step then lands the residual within 1% of kappa.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ from .operator import SketchOperator, vec, unvec
 #: ADMM iterations before an undecided instance goes to the exact LP;
 #: recoverable instances snap by iteration 250-750 (the slowest seen: 4500)
 ADMM_BUDGET = 5000
+
+#: factor by which solve_constrained lowers the penalty from lam_hi until
+#: the residual first meets kappa
+LAM_STEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -354,8 +363,7 @@ def solve_p2(
     V = X.copy()
     t = 1.0
     F = objective(X)
-    iterations = opts.max_iter
-    for it in range(1, opts.max_iter + 1):
+    for iterations in range(1, opts.max_iter + 1):
         G = 2.0 * op.adjoint(op.forward(V) - Y)
         X_new = soft_threshold(V - step * G, lam * step)
         F_new = objective(X_new)
@@ -379,7 +387,6 @@ def solve_p2(
         done = abs(F - F_new) <= opts.tol_obj * (1.0 + abs(F_new))
         X, F = X_new, F_new
         if done:
-            iterations = it
             break
 
     return RecoveryResult(
@@ -387,7 +394,7 @@ def solve_p2(
         objective=float(np.abs(X).sum()),
         feas_residual=_feas_residual(op, X, Y),
         iterations=iterations,
-        converged=iterations < opts.max_iter,
+        converged=done,
         diagnostics={"penalized_objective": F, "lam": lam},
     )
 
@@ -399,23 +406,37 @@ def solve_constrained(
     opts: SolverOptions = SolverOptions(),
     max_bisect: int = 30,
 ) -> RecoveryResult:
-    """min ||X||_1 s.t. ||A X B^T - Y||_2 <= kappa, by bisection over the
-    penalty in solve_p2 until the residual matches kappa within 1%."""
+    """min ||X||_1 s.t. ||A X B^T - Y||_2 <= kappa, through the penalty in
+    solve_p2, whose residual r(lam) grows with lam.
+
+    The search starts at lam_hi = 2 max|A^T Y B|, where X = 0, and divides
+    lam by LAM_STEP, warm-starting each solve from the one before, until the
+    first lam with r(lam) <= kappa. That lam and the one before it bracket
+    kappa. Unless r already lies in [0.99 kappa, kappa], a geometric
+    bisection over the bracket, warm-started the same way, runs until it
+    does (at most max_bisect solves). The descent stops at the floor
+    1e-8 * lam_hi; a floor solve that still misses kappa is returned with
+    converged=False. So is X = 0 when A^T Y B = 0, since no X then comes
+    closer to Y than ||Y||.
+    """
     if kappa < 0:
         raise ParameterError("kappa must be nonnegative")
     Y = np.asarray(Y, dtype=float)
     if kappa == 0.0:
         return solve_p1(op, Y, opts)
-    y_norm = np.linalg.norm(Y)
-    if kappa >= y_norm:
+    y_norm = float(np.linalg.norm(Y))
+    lam_hi = 2.0 * float(np.abs(op.adjoint(Y)).max())  # forces X = 0
+    if kappa >= y_norm or lam_hi == 0.0:
+        # X = 0 meets kappa, or A^T Y B = 0 makes X = 0 the closest point
+        # to Y that any X reaches, and it misses kappa
         Z = np.zeros((op.p1, op.p2))
         return RecoveryResult(
             x=Z,
             objective=0.0,
             feas_residual=_feas_residual(op, Z, Y),
             iterations=0,
-            converged=True,
-            diagnostics={"kappa": kappa, "lam": None},
+            converged=kappa >= y_norm,
+            diagnostics={"kappa": kappa, "lam": None, "constraint_residual": y_norm},
         )
 
     sq_norm = _operator_sq_norm(op)
@@ -424,26 +445,32 @@ def solve_constrained(
         res = solve_p2(op, Y, lam, opts, x0=x0, sq_norm=sq_norm)
         return res, float(np.linalg.norm(op.forward(res.x) - Y))
 
-    lam_hi = 2.0 * float(np.abs(op.adjoint(Y)).max())  # forces X = 0
-    lam_lo = lam_hi * 1e-8
-    best, r = residual_at(lam_lo, None)
-    if r > kappa:
-        # even the near-unpenalized solution misses kappa; report it honestly
-        best.converged = False
-        best.diagnostics.update({"kappa": kappa, "constraint_residual": r})
-        return best
-    x_warm = best.x
-    for _ in range(max_bisect):
-        lam_mid = np.sqrt(lam_lo * lam_hi)
-        res, r = residual_at(lam_mid, x_warm)
-        x_warm = res.x
+    lam_floor = lam_hi * 1e-8
+    lam_lo = lam_hi
+    x_warm = None
+    while True:
+        lam_hi, lam_lo = lam_lo, max(lam_lo / LAM_STEP, lam_floor)
+        best, r = residual_at(lam_lo, x_warm)
+        x_warm = best.x
         if r <= kappa:
-            lam_lo = lam_mid
-            best = res
-            if r >= 0.99 * kappa:
-                break
-        else:
-            lam_hi = lam_mid
+            break
+        if lam_lo == lam_floor:
+            # even the near-unpenalized solution misses kappa; report it honestly
+            best.converged = False
+            best.diagnostics.update({"kappa": kappa, "constraint_residual": r})
+            return best
+    if r < 0.99 * kappa:
+        for _ in range(max_bisect):
+            lam_mid = np.sqrt(lam_lo * lam_hi)
+            res, r = residual_at(lam_mid, x_warm)
+            x_warm = res.x
+            if r <= kappa:
+                lam_lo = lam_mid
+                best = res
+                if r >= 0.99 * kappa:
+                    break
+            else:
+                lam_hi = lam_mid
     r_best = float(np.linalg.norm(op.forward(best.x) - Y))
     best.converged = best.converged and r_best <= 1.01 * kappa
     best.diagnostics.update({"kappa": kappa, "constraint_residual": r_best})

@@ -121,6 +121,34 @@ def test_cov_sketch_cli(tmp_path, capsys):
     assert load_matrix_csv(tmp_path / "covariance.csv").shape == (12, 12)
 
 
+def test_cov_sketch_cli_selects_kappa_by_cross_validation(tmp_path, capsys):
+    cfg = tmp_path / "cov.json"
+    grid = [1.0, 4.0, 16.0]
+    cfg.write_text(json.dumps(
+        {"p": 12, "d": 2, "n": 500, "m": 9, "delta": 3, "seed": 4,
+         "mode": "constrained", "kappa_grid": grid}
+    ))
+    assert run(["cov-sketch", "--pipeline-config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "covariance.json").read_text())
+    assert summary["result"]["converged"]
+    assert summary["result"]["diagnostics"]["kappa"] in grid
+
+
+def test_cov_sketch_cli_honours_solver_config(tmp_path, capsys):
+    cfg = tmp_path / "cov.json"
+    cfg.write_text(json.dumps(
+        {"p": 12, "d": 2, "n": 500, "m": 9, "delta": 3, "seed": 4,
+         "mode": "constrained", "kappa": 0.5}
+    ))
+    opts = tmp_path / "opts.json"
+    opts.write_text(json.dumps({"max_iter": 1}))
+    assert run(["cov-sketch", "--pipeline-config", str(cfg), "--config", str(opts),
+                "--out", str(tmp_path)]) == 2
+    summary = json.loads((tmp_path / "covariance.json").read_text())
+    assert not summary["result"]["converged"]
+
+
 def test_arrow_demo_cli(capsys):
     assert run(["arrow-demo", "--p", "20", "--m", "12", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import scipy.optimize
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from matsketch import solver
 from matsketch.ensemble import (
     ParameterError,
     gen_distributed_matrix,
@@ -15,6 +16,12 @@ from matsketch.ensemble import (
 )
 from matsketch.harness import TrialConfig, derive_seed
 from matsketch.operator import SketchOperator
+from matsketch.pipelines import (
+    SampleStream,
+    cov_sketch,
+    gen_distributed_covariance,
+    recover_covariance,
+)
 from matsketch.solver import (
     ADMM_BUDGET,
     AffineProjector,
@@ -244,6 +251,15 @@ def test_p2_keeps_the_last_accepted_iterate_when_backtracking_fails():
     assert res.diagnostics["penalized_objective"] == F
 
 
+def test_p2_converged_when_the_stopping_test_meets_the_last_iteration():
+    op = SketchOperator(A=np.eye(5), B=np.eye(5), shared_ab=True)
+    Y = np.random.default_rng(2).standard_normal((5, 5))
+    lam = 2.0 * np.abs(Y).max() + 1.0
+    res = solve_p2(op, Y, lam, SolverOptions(max_iter=1))
+    assert res.iterations == 1
+    assert res.converged
+
+
 def test_p2_rejects_nonpositive_penalty():
     op, _, Y = small_instance(10)
     with pytest.raises(ParameterError):
@@ -276,6 +292,69 @@ def test_constrained_meets_radius():
     # relaxing the constraint can only shrink the objective
     loose = solve_constrained(op, Y, 2 * kappa)
     assert loose.objective <= res.objective + 1e-8
+
+
+def twin_row_operator():
+    """A sketch whose rows 0 and 1 are equal, so every A X A^T is symmetric in them."""
+    A = np.array([[1, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0],
+                  [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], dtype=float)
+    return SketchOperator(A=A, B=A, shared_ab=True)
+
+
+def test_constrained_unreachable_radius_is_reported():
+    op = twin_row_operator()
+    Y = np.random.default_rng(3).standard_normal((4, 4))
+    X_ls = AffineProjector(op).project(np.zeros((6, 6)), Y)
+    r_min = np.linalg.norm(op.forward(X_ls) - Y)
+    assert r_min > 0.1 * np.linalg.norm(Y)
+    kappa = r_min / 2
+    res = solve_constrained(op, Y, kappa)
+    assert not res.converged
+    assert res.diagnostics["constraint_residual"] > kappa
+
+
+def test_constrained_sketch_outside_the_range_is_reported():
+    op = twin_row_operator()
+    Y = np.diag([1.0, -1.0, 0.0, 0.0])  # A^T Y A = 0
+    res = solve_constrained(op, Y, 0.5)
+    assert not res.converged
+    assert res.objective == 0.0
+    assert res.diagnostics["constraint_residual"] == np.linalg.norm(Y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(0.02, 0.9))
+def test_constrained_meets_radius_on_random_instances(seed, f):
+    op, X, Y = small_instance(seed)
+    kappa = f * np.linalg.norm(Y)
+    res = solve_constrained(op, Y, kappa)
+    assert res.converged
+    assert res.diagnostics["constraint_residual"] <= 1.01 * kappa
+    loose = solve_constrained(op, Y, 2 * kappa)
+    assert loose.objective <= res.objective * (1 + 1e-6)
+
+
+def test_constrained_criterion_10_pipelines_stay_under_the_iteration_cap(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = solve_p2(*args, **kwargs)
+        calls.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "solve_p2", counted)
+    for t in range(10):
+        calls.clear()
+        seed = derive_seed(7, "c10", t)
+        sigma = gen_distributed_covariance(40, 4, derive_seed(seed, "sigma"), n_pairs=6)
+        stream = SampleStream(sigma=sigma, n=2100, seed=derive_seed(seed, "stream"))
+        A = gen_screened_graph(40, 21, 4, derive_seed(seed, "graph")).adjacency()
+        sz = cov_sketch(stream, A)
+        kappa = float(np.linalg.norm(sz - A @ sigma @ A.T))
+        res = recover_covariance(A, sz, "constrained", kappa=kappa)
+        assert res.converged
+        assert calls and max(calls) < SolverOptions().max_iter
+        assert sum(calls) < 5000
 
 
 def test_constrained_rejects_negative_radius():
