@@ -1,13 +1,18 @@
 """Command-line interface.
 
+Every flag is declared once in ``FLAGS``; each entry of ``SUBCOMMANDS``
+lists the flags its handler honours. A flag a subcommand does not list is
+a usage error (exit 1), never silently ignored.
+
 Exit codes, each failure with a one-line ``error:`` message on stderr:
 
     0  success
-    1  parameter or usage error
+    1  parameter or usage error (an unlisted or malformed flag included)
     2  solver non-convergence
     3  file error (OSError: a missing or unreadable input, an unwritable --out)
     4  bad configuration (--config or --pipeline-config is not valid JSON,
-       or --config names a field SolverOptions does not have)
+       --config names a field SolverOptions does not have, or the pipeline
+       JSON lacks a key or names an unknown mode)
     5  solver failure (RuntimeError, e.g. the LP behind solve_p1 failed)
 """
 
@@ -17,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,13 +42,50 @@ from .operator import SketchOperator
 from .solver import SolverOptions
 
 
-def _common_flags(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--config", default=None, help="solver options JSON")
-    sub.add_argument("--delta", type=int, default=None, help="left degree")
-    sub.add_argument("--clip-binary", action="store_true",
-                     help="clip multi-edge adjacency counts to 0/1")
+def _even_step(text: str) -> int:
+    step = int(text)
+    if step < 1 or step % 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive even number")
+    return step
+
+
+def _scales(text: str) -> list:
+    try:
+        return sorted(float(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers"
+        ) from None
+
+
+#: every flag's one spec: argparse keywords without ``required``
+FLAGS = {
+    "seed": dict(type=int, default=0, help="master seed"),
+    "out": dict(default=".", help="output directory"),
+    "config": dict(help="solver options JSON"),
+    "delta": dict(type=int, help="left degree (default max(2, ceil(ln p)))"),
+    "clip-binary": dict(action="store_true", help="clip multi-edge adjacency counts to 0/1"),
+    "p": dict(type=int, help="matrix dimension"),
+    "m": dict(type=int, help="sketch dimension"),
+    "d": dict(type=int, help="support cells allowed per row and column"),
+    "trials": dict(type=int, default=20, help="number of seeded trials"),
+    "eps": dict(type=float, default=0.25, help="expansion and RIP tolerance"),
+    "samples": dict(type=int, default=20, help="kernel samples per trial"),
+    "mode": dict(choices=["p1", "p2", "constrained"], default="p1", help="recovery program"),
+    "lam": dict(type=float, default=1e-3, help="p2 penalty"),
+    "kappa": dict(type=float, default=0.0, help="constrained-mode radius"),
+    "graph": dict(help="graph file of A"),
+    "graph-b": dict(help="graph file of B (default: B = A)"),
+    "matrix": dict(help="X as CSV"),
+    "p-step": dict(type=_even_step, default=2, help="p stride over the paper grid (even)"),
+    "m-step": dict(type=_even_step, default=2, help="m stride over the paper grid (even)"),
+    "threads": dict(type=int, help="worker processes (default SKETCH_THREADS or CPU count)"),
+    "pipeline-config": dict(help="covariance pipeline JSON"),
+    "edges": dict(help="edge list file, 1-based 'u v' lines"),
+    "partition": dict(help="'vertex part' lines; random if absent"),
+    "unsketch": dict(action="store_true", help="also recover the graph from its sketch"),
+    "scales": dict(type=_scales, default="0,0.5,1,2", help="comma-separated l1 masses"),
+}
 
 
 class ConfigError(Exception):
@@ -67,93 +110,6 @@ def _load_operator(args) -> SketchOperator:
     g1 = ensemble.load_graph(args.graph)
     g2 = ensemble.load_graph(args.graph_b) if args.graph_b else None
     return SketchOperator.from_graphs(g1, g2, clip_binary=args.clip_binary)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="matsketch",
-        description="Recover distributed-sparse matrices from tensor-product sketches",
-    )
-    subs = parser.add_subparsers(dest="command")
-
-    s = subs.add_parser("gen-graph", help="generate a left-regular bipartite graph")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-
-    s = subs.add_parser("sketch", help="compute Y = A X B^T from files")
-    _common_flags(s)
-    s.add_argument("--graph", required=True)
-    s.add_argument("--graph-b", default=None)
-    s.add_argument("--matrix", required=True, help="X as CSV")
-
-    s = subs.add_parser("recover", help="run one generate/sketch/recover trial")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--mode", choices=["p1", "p2", "constrained"], default="p1")
-    s.add_argument("--lam", type=float, default=1e-3)
-    s.add_argument("--kappa", type=float, default=0.0)
-
-    s = subs.add_parser("check-expansion", help="tensor-graph expansion verifier")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--eps", type=float, default=0.25)
-    s.add_argument("--trials", type=int, default=20)
-
-    s = subs.add_parser("check-rip", help="l1 restricted isometry verifier")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--eps", type=float, default=0.25)
-    s.add_argument("--trials", type=int, default=100)
-
-    s = subs.add_parser("check-nullspace", help="sampled nullspace-property verifier")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--samples", type=int, default=20)
-    s.add_argument("--trials", type=int, default=20)
-
-    s = subs.add_parser("phase-diagram", help="success-rate grid with CSV/SVG output")
-    _common_flags(s)
-    s.add_argument("--trials", type=int, default=40)
-    s.add_argument("--d", type=int, default=4)
-    s.add_argument("--p-step", type=int, default=2)
-    s.add_argument("--m-step", type=int, default=2)
-    s.add_argument("--threads", type=int, default=None)
-
-    s = subs.add_parser("cov-sketch", help="covariance sketching pipeline from JSON config")
-    _common_flags(s)
-    s.add_argument("--pipeline-config", required=True)
-
-    s = subs.add_parser("graph-sketch", help="sketch (and optionally unsketch) a graph")
-    _common_flags(s)
-    s.add_argument("--edges", required=True, help="edge list file, 1-based 'u v' lines")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--partition", default=None, help="'vertex part' lines; random if absent")
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--unsketch", action="store_true")
-
-    s = subs.add_parser("noise-sweep", help="recovery error vs perturbation mass")
-    _common_flags(s)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--scales", default="0,0.5,1,2", help="comma-separated l1 masses")
-    s.add_argument("--trials", type=int, default=20)
-
-    s = subs.add_parser("arrow-demo", help="arrow-matrix non-identifiability witness")
-    _common_flags(s)
-    s.add_argument("--p", type=int, default=40)
-    s.add_argument("--m", type=int, default=21)
-
-    return parser
 
 
 def _cmd_gen_graph(args) -> int:
@@ -251,8 +207,8 @@ def _cmd_check_nullspace(args) -> int:
 
 def _cmd_phase_diagram(args) -> int:
     ps, ms = paper_grid()
-    ps = ps[:: max(1, args.p_step // 2)]
-    ms = ms[:: max(1, args.m_step // 2)]
+    ps = ps[:: args.p_step // 2]
+    ms = ms[:: args.m_step // 2]
     grid = phase_diagram(
         ps, ms, args.trials, args.d, args.seed, delta=args.delta, threads=args.threads
     )
@@ -267,7 +223,12 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_cov_sketch(args) -> int:
     with open(args.pipeline_config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict) or not {"p", "d", "n", "m"} <= cfg.keys():
+        raise ConfigError(f"{args.pipeline_config}: needs an object with keys p, d, n, m")
     p, d, n, m = cfg["p"], cfg["d"], cfg["n"], cfg["m"]
+    mode = cfg.get("mode", "constrained")
+    if mode not in ("constrained", "exact"):
+        raise ConfigError(f"{args.pipeline_config}: unknown mode {mode!r}")
     delta = cfg.get("delta") or ensemble.default_delta(p)
     seed = cfg.get("seed", 0)
     sigma = pipelines.gen_distributed_covariance(p, d, derive_seed(seed, "sigma"))
@@ -277,7 +238,6 @@ def _cmd_cov_sketch(args) -> int:
     )
     sigma_z = pipelines.cov_sketch(stream, A)
     opts = _opts(args)
-    mode = cfg.get("mode", "constrained")
     if mode == "constrained":
         kappa = cfg.get("kappa")
         if kappa is None:
@@ -297,8 +257,11 @@ def _cmd_cov_sketch(args) -> int:
 
 
 def _cmd_graph_sketch(args) -> int:
+    opts = _opts(args)
     X = pipelines.load_edge_list(args.edges, args.p)
     if args.partition:
+        if (args.m, args.delta, args.seed) != (None, None, None):
+            raise ParameterError("--m, --delta and --seed shape a random partition only")
         parts = pipelines.load_partition(args.partition, args.p)
         pg = pipelines.PartitionedGraph(adjacency=X, parts=parts)
         A = pg.indicator()
@@ -307,12 +270,12 @@ def _cmd_graph_sketch(args) -> int:
         if args.m is None:
             raise ParameterError("need --partition or --m for a random partition")
         delta = args.delta or ensemble.default_delta(args.p)
-        A = pipelines.random_partition(args.p, args.m, delta, args.seed)
+        A = pipelines.random_partition(args.p, args.m, delta, args.seed or 0)
         Y = A @ X @ A.T
     ensemble.save_matrix_csv(Y, _outpath(args, "graph_sketch.csv"))
     print(_outpath(args, "graph_sketch.csv"))
     if args.unsketch:
-        res, rounded = pipelines.graph_unsketch(Y, A)
+        res, rounded = pipelines.graph_unsketch(Y, A, opts)
         ensemble.save_matrix_csv(rounded, _outpath(args, "graph_recovered.csv"))
         print(_outpath(args, "graph_recovered.csv"))
         return 0 if res.converged else 2
@@ -320,12 +283,11 @@ def _cmd_graph_sketch(args) -> int:
 
 
 def _cmd_noise_sweep(args) -> int:
-    scales = sorted(float(s) for s in args.scales.split(","))
     cfg = TrialConfig(
         p=args.p, m=args.m, d=args.d, delta=args.delta, seed=args.seed,
         clip_binary=args.clip_binary,
     )
-    rows = noise_sweep(cfg, scales, trials=args.trials, opts=_opts(args))
+    rows = noise_sweep(cfg, args.scales, trials=args.trials, opts=_opts(args))
     noise_sweep_csv(rows, _outpath(args, "noise.csv"))
     print(_outpath(args, "noise.csv"))
     return 0
@@ -343,19 +305,56 @@ def _cmd_arrow_demo(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen-graph": _cmd_gen_graph,
-    "sketch": _cmd_sketch,
-    "recover": _cmd_recover,
-    "check-expansion": _cmd_check_expansion,
-    "check-rip": _cmd_check_rip,
-    "check-nullspace": _cmd_check_nullspace,
-    "phase-diagram": _cmd_phase_diagram,
-    "cov-sketch": _cmd_cov_sketch,
-    "graph-sketch": _cmd_graph_sketch,
-    "noise-sweep": _cmd_noise_sweep,
-    "arrow-demo": _cmd_arrow_demo,
+class Subcommand(NamedTuple):
+    handler: Callable
+    help: str
+    flags: str  # the FLAGS it honours; a trailing "!" marks a required one
+    defaults: dict = {}  # per-subcommand defaults, by flag name
+
+
+SUBCOMMANDS = {
+    "gen-graph": Subcommand(_cmd_gen_graph, "generate a left-regular bipartite graph",
+                            "p! m! seed out delta"),
+    "sketch": Subcommand(_cmd_sketch, "compute Y = A X B^T from files",
+                         "graph! graph-b matrix! out clip-binary"),
+    "recover": Subcommand(_cmd_recover, "run one generate/sketch/recover trial",
+                          "p! m! d! mode lam kappa seed out config delta clip-binary"),
+    "check-expansion": Subcommand(_cmd_check_expansion, "tensor-graph expansion verifier",
+                                  "p! m! d! eps trials seed delta"),
+    "check-rip": Subcommand(_cmd_check_rip, "l1 restricted isometry verifier",
+                            "p! m! d! eps trials seed delta clip-binary", {"trials": 100}),
+    "check-nullspace": Subcommand(_cmd_check_nullspace, "sampled nullspace-property verifier",
+                                  "p! m! d! samples trials seed delta clip-binary"),
+    "phase-diagram": Subcommand(_cmd_phase_diagram, "success-rate grid with CSV/SVG output",
+                                "trials d p-step m-step threads seed out delta",
+                                {"trials": 40, "d": 4}),
+    "cov-sketch": Subcommand(_cmd_cov_sketch, "covariance sketching pipeline from JSON config",
+                             "pipeline-config! out config clip-binary"),
+    "graph-sketch": Subcommand(_cmd_graph_sketch, "sketch (and optionally unsketch) a graph",
+                               "edges! p! partition m unsketch seed out config delta",
+                               {"seed": None}),
+    "noise-sweep": Subcommand(_cmd_noise_sweep, "recovery error vs perturbation mass",
+                              "p! m! d! scales trials seed out config delta clip-binary"),
+    "arrow-demo": Subcommand(_cmd_arrow_demo, "arrow-matrix non-identifiability witness",
+                             "p m seed delta clip-binary", {"p": 40, "m": 21}),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="matsketch",
+        description="Recover distributed-sparse matrices from tensor-product sketches",
+    )
+    subs = parser.add_subparsers(dest="command")
+    for name, cmd in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help)
+        for flag in cmd.flags.split():
+            key = flag.rstrip("!")
+            spec = dict(FLAGS[key], required=flag.endswith("!"))
+            if key in cmd.defaults:
+                spec["default"] = cmd.defaults[key]
+            sub.add_argument("--" + key, **spec)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
         parser.print_usage()
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return SUBCOMMANDS[args.command].handler(args)
     except ParameterError as exc:
         return _fail(exc, 1)
     except OSError as exc:

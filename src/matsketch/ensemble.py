@@ -215,6 +215,38 @@ def tensor_neighbors(tg: TensorGraph, support: Support) -> set:
     return set(zip(js.tolist(), j2s.tolist()))
 
 
+def _rejection_support(
+    p: int, d: int, seed: int, symmetric: bool, target: int | None, cap: int
+) -> Support:
+    """The diagonal plus rejection-sampled off-diagonal cells.
+
+    Each draw is a uniform (row, col) pair, kept unless it is diagonal,
+    already present, or would lift its row or column above d cells; a kept
+    draw with ``symmetric`` adds its mirror cell too. Sampling stops once
+    ``target`` draws are kept (with no target: once every row and column
+    holds d cells) or after ``cap`` draws.
+    """
+    rng = np.random.default_rng(seed)
+    cells = {(i, i) for i in range(p)}
+    rows = np.ones(p, dtype=np.int64)
+    cols = np.ones(p, dtype=np.int64)
+    attempts = kept = 0
+    while attempts < cap and (
+        kept < target if target is not None else rows.min() < d or cols.min() < d
+    ):
+        attempts += 1
+        i = int(rng.integers(p))
+        j = int(rng.integers(p))
+        if i == j or (i, j) in cells or rows[i] >= d or cols[j] >= d:
+            continue
+        for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
+            cells.add((a, b))
+            rows[a] += 1
+            cols[b] += 1
+        kept += 1
+    return Support.from_cells(p, cells)
+
+
 def gen_distributed_support(
     p: int, d: int, seed: int, n_off: int | None = None
 ) -> Support:
@@ -231,30 +263,7 @@ def gen_distributed_support(
         raise ParameterError(f"need 1 <= d <= p, got d={d}, p={p}")
     if n_off is not None and n_off < 0:
         raise ParameterError("n_off must be nonnegative")
-    rng = np.random.default_rng(seed)
-    cells = {(i, i) for i in range(p)}
-    row_counts = np.ones(p, dtype=np.int64)
-    col_counts = np.ones(p, dtype=np.int64)
-    attempts = 0
-    cap = 100 * p * d
-
-    def unfinished():
-        if n_off is not None:
-            return len(cells) - p < n_off
-        return row_counts.min() < d or col_counts.min() < d
-
-    while attempts < cap and unfinished():
-        attempts += 1
-        i = int(rng.integers(p))
-        j = int(rng.integers(p))
-        if i == j or (i, j) in cells:
-            continue
-        if row_counts[i] >= d or col_counts[j] >= d:
-            continue
-        cells.add((i, j))
-        row_counts[i] += 1
-        col_counts[j] += 1
-    return Support.from_cells(p, cells)
+    return _rejection_support(p, d, seed, symmetric=False, target=n_off, cap=100 * p * d)
 
 
 def _draw_values(rng: np.random.Generator, n: int, value_spec) -> np.ndarray:

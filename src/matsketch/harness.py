@@ -136,17 +136,6 @@ class PhaseGrid:
                 for j, m in enumerate(self.m_values):
                     fh.write(f"{p},{m},{self.success_rate[i, j]:.6f}\n")
 
-    def smoothed_rates(self, window: int = 3) -> np.ndarray:
-        """Moving average over adjacent m cells within each p row.
-
-        Boundary cells average only the cells actually inside the row, so
-        a constant row smooths to itself."""
-        k = np.ones(window)
-        counts = np.convolve(np.ones(self.success_rate.shape[1]), k, mode="same")
-        return np.vstack(
-            [np.convolve(row, k, mode="same") / counts for row in self.success_rate]
-        )
-
     def m50(self, p: int) -> float | None:
         """Sketch size at which the success rate first crosses 1/2 for this
         p, linearly interpolated between bracketing grid columns."""
@@ -209,6 +198,8 @@ def phase_diagram(
     m_values = list(m_values)
     if p_values != sorted(p_values) or m_values != sorted(m_values):
         raise ParameterError("value lists must be ascending")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     jobs = [
         (p, m, d, delta, trials, master_seed, success_threshold)
         for p in p_values

@@ -13,6 +13,7 @@ import scipy.linalg
 from .ensemble import (
     ParameterError,
     Support,
+    _rejection_support,
     gen_distributed_matrix,
     gen_left_regular,
     gen_screened_graph,
@@ -37,30 +38,7 @@ def gen_symmetric_distributed_support(
         raise ParameterError(f"need 1 <= d <= p, got d={d}, p={p}")
     if n_pairs is not None and n_pairs < 0:
         raise ParameterError("n_pairs must be nonnegative")
-    rng = np.random.default_rng(seed)
-    cells = {(i, i) for i in range(p)}
-    counts = np.ones(p, dtype=np.int64)  # symmetric, so row == col counts
-    attempts = 0
-    cap = 100 * p * d
-
-    def unfinished():
-        if n_pairs is not None:
-            return (len(cells) - p) // 2 < n_pairs
-        return counts.min() < d
-
-    while attempts < cap and unfinished():
-        attempts += 1
-        i = int(rng.integers(p))
-        j = int(rng.integers(p))
-        if i == j or (i, j) in cells:
-            continue
-        if counts[i] + 1 > d or counts[j] + 1 > d:
-            continue
-        cells.add((i, j))
-        cells.add((j, i))
-        counts[i] += 1
-        counts[j] += 1
-    return Support.from_cells(p, cells)
+    return _rejection_support(p, d, seed, symmetric=True, target=n_pairs, cap=100 * p * d)
 
 
 def gen_distributed_covariance(
@@ -277,26 +255,10 @@ def gen_bounded_degree_graph(
     ``n_edges`` caps the number of off-diagonal edges; the default keeps
     adding until every vertex reaches the degree bound.
     """
-    rng = np.random.default_rng(seed)
-    X = np.eye(p)
-    deg = np.zeros(p, dtype=np.int64)
-    attempts = 0
-    n_added = 0
-    while attempts < 50 * p * max_off_degree and (
-        deg.min() < max_off_degree if n_edges is None else n_added < n_edges
-    ):
-        attempts += 1
-        i = int(rng.integers(p))
-        j = int(rng.integers(p))
-        if i == j or X[i, j] == 1.0:
-            continue
-        if deg[i] >= max_off_degree or deg[j] >= max_off_degree:
-            continue
-        X[i, j] = X[j, i] = 1.0
-        deg[i] += 1
-        deg[j] += 1
-        n_added += 1
-    return X
+    support = _rejection_support(
+        p, max_off_degree + 1, seed, symmetric=True, target=n_edges, cap=50 * p * max_off_degree
+    )
+    return support.indicator().astype(float)
 
 
 def load_edge_list(path, p: int) -> np.ndarray:

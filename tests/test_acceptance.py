@@ -42,11 +42,12 @@ from matsketch.pipelines import (
 from matsketch.solver import SolverOptions, lp_oracle, solve_p1
 from matsketch.verify import (
     arrow_ambiguity_witness,
-    brute_force_expansion,
     check_expansion,
     check_nullspace,
     check_rip1,
 )
+
+from oracles import brute_force_expansion
 
 MASTER = 7
 

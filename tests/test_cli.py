@@ -1,9 +1,15 @@
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import matsketch.cli
-from matsketch.cli import main
+from matsketch.cli import FLAGS, SUBCOMMANDS, build_parser, main
 from matsketch.ensemble import load_graph, load_matrix_csv
 
 
@@ -64,9 +70,9 @@ def test_recover_solver_config(tmp_path, capsys):
     assert code == 2  # iteration cap hit: non-convergence exit code
 
 
-def test_check_subcommands(tmp_path, capsys):
+def test_check_subcommands(capsys):
     base = ["--p", "10", "--m", "8", "--d", "2", "--delta", "3", "--seed", "2",
-            "--trials", "3", "--out", str(tmp_path)]
+            "--trials", "3"]
     assert run(["check-rip"] + base) == 0
     out = capsys.readouterr().out
     assert "upper bound held 3/3" in out
@@ -182,3 +188,128 @@ def test_solver_failure_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     assert run(["recover", "--p", "10", "--m", "8", "--d", "2",
                 "--out", str(tmp_path)]) == 5
     assert capsys.readouterr().err == "error: LP failed: numerical trouble\n"
+
+
+# --- which shared flags each subcommand honours -----------------------------
+
+SHARED = ["seed", "out", "config", "delta", "clip-binary"]
+
+# required (and, for phase-diagram, cost-limiting) arguments per subcommand;
+# the file paths are never opened by these tests
+BASE = {
+    "gen-graph": ["--p", "6", "--m", "3"],
+    "sketch": ["--graph", "g.txt", "--matrix", "x.csv"],
+    "recover": ["--p", "10", "--m", "8", "--d", "2"],
+    "check-expansion": ["--p", "10", "--m", "8", "--d", "2", "--trials", "1"],
+    "check-rip": ["--p", "10", "--m", "8", "--d", "2", "--trials", "1"],
+    "check-nullspace": ["--p", "10", "--m", "8", "--d", "2", "--trials", "1"],
+    "phase-diagram": ["--trials", "1", "--d", "2", "--p-step", "60", "--m-step", "60"],
+    "cov-sketch": ["--pipeline-config", "cov.json"],
+    "graph-sketch": ["--edges", "e.txt", "--p", "8"],
+    "noise-sweep": ["--p", "10", "--m", "8", "--d", "2", "--trials", "1"],
+    "arrow-demo": [],
+}
+
+# the honoured/rejected table of the README, one row per subcommand
+HONOURED = {
+    "gen-graph": {"seed", "out", "delta"},
+    "sketch": {"out", "clip-binary"},
+    "recover": set(SHARED),
+    "noise-sweep": set(SHARED),
+    "check-expansion": {"seed", "delta"},
+    "check-rip": {"seed", "delta", "clip-binary"},
+    "check-nullspace": {"seed", "delta", "clip-binary"},
+    "arrow-demo": {"seed", "delta", "clip-binary"},
+    "phase-diagram": {"seed", "out", "delta"},
+    "cov-sketch": {"out", "config", "clip-binary"},
+    "graph-sketch": {"seed", "out", "config", "delta"},
+}
+
+
+def test_every_subcommand_has_a_row_and_every_flag_a_user():
+    assert set(BASE) == set(HONOURED) == set(SUBCOMMANDS)
+    used = {f.rstrip("!") for cmd in SUBCOMMANDS.values() for f in cmd.flags.split()}
+    assert used == set(FLAGS)
+
+
+@pytest.mark.parametrize("flag", SHARED)
+@pytest.mark.parametrize("command", sorted(HONOURED))
+def test_shared_flag_is_honoured_or_rejected(command, flag, tmp_path, capsys):
+    value = {"seed": "5", "out": str(tmp_path / "o"), "config": "c.json", "delta": "3"}.get(flag)
+    argv = [command] + BASE[command] + ["--" + flag] + ([value] if value else [])
+    if flag in HONOURED[command]:
+        parsed = getattr(build_parser().parse_args(argv), flag.replace("-", "_"))
+        assert parsed == {"seed": 5, "delta": 3, "clip-binary": True}.get(flag, value)
+    else:
+        assert run(argv) == 1
+        assert "unrecognized arguments: --" + flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def _graph_sketch_files(tmp_path):
+    edges = tmp_path / "e.txt"
+    edges.write_text("1 2\n2 3\n3 4\n1 4\n")
+    parts = tmp_path / "parts.txt"
+    parts.write_text("".join(f"{v} {k}\n" for v in range(1, 9) for k in (v % 5 + 1, 6)))
+    return ["graph-sketch", "--edges", str(edges), "--p", "8", "--out", str(tmp_path)], parts
+
+
+def test_graph_sketch_honours_solver_config(tmp_path, capsys):
+    argv, _ = _graph_sketch_files(tmp_path)
+    opts = tmp_path / "opts.json"
+    opts.write_text(json.dumps({"max_iter": 1}))
+    argv += ["--m", "5", "--delta", "2", "--seed", "7", "--unsketch"]
+    assert run(argv) == 0
+    assert run(argv + ["--config", str(opts)]) == 2
+
+
+def test_graph_sketch_partition_rejects_random_partition_flags(tmp_path, capsys):
+    argv, parts = _graph_sketch_files(tmp_path)
+    argv += ["--partition", str(parts)]
+    assert run(argv) == 0
+    for extra in (["--m", "5"], ["--delta", "2"], ["--seed", "0"]):
+        assert run(argv + extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- malformed values and pipeline files exit with their documented code -----
+
+
+def test_malformed_scales_is_a_usage_error(tmp_path, capsys):
+    assert run(["noise-sweep", "--p", "10", "--m", "8", "--d", "2", "--trials", "1",
+                "--scales", "0,abc", "--out", str(tmp_path)]) == 1
+    assert "0,abc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--p-step", "1"], ["--p-step", "3"],
+                                   ["--m-step", "0"], ["--m-step", "-2"]])
+def test_phase_diagram_bad_counts_are_usage_errors(extra, tmp_path, capsys):
+    argv = ["phase-diagram", "--trials", "1", "--d", "2", "--p-step", "60", "--m-step", "60",
+            "--out", str(tmp_path)]
+    assert run(argv + extra) == 1
+    assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("change", [{"m": None}, {"mode": "exactt"}])
+def test_cov_sketch_bad_pipeline_is_a_config_error(change, tmp_path, capsys):
+    cfg = {"p": 12, "d": 2, "n": 500, "m": 9, "delta": 3, "seed": 4, "mode": "exact"}
+    cfg.update(change)
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    assert run(["cov-sketch", "--pipeline-config", str(path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "covariance.csv").exists()
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_phase_diagram_files_do_not_depend_on_the_worker_count(seed):
+    outputs = []
+    for threads in ("1", "2"):  # a 1 x 3 grid: p = 10, m = 2, 22, 42
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.dict(os.environ, {"SKETCH_THREADS": threads}):
+            assert run(["phase-diagram", "--trials", "2", "--d", "2", "--p-step", "60",
+                        "--m-step", "20", "--seed", str(seed), "--out", out]) == 0
+            outputs.append([Path(out, f).read_bytes() for f in ("phase.csv", "phase.svg")])
+    assert outputs[0] == outputs[1]

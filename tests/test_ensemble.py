@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,9 @@ from matsketch.ensemble import (
     save_support,
     tensor_neighbors,
 )
-from matsketch.verify import brute_force_tensor_neighbors
+from matsketch.pipelines import gen_bounded_degree_graph, gen_distributed_covariance
+
+from oracles import brute_force_tensor_neighbors
 
 
 # --- graph generation -------------------------------------------------------
@@ -174,6 +178,49 @@ def test_support_off_cell_cap():
     assert diag_only.cells == frozenset((i, i) for i in range(12))
     with pytest.raises(ParameterError):
         gen_distributed_support(12, 4, 2, n_off=-1)
+
+
+# sha256 of seeded sampler outputs (args: p, d or max_off_degree, seed, target),
+# so that every seeded instance stays byte-identical; the p = 3 draws stall
+# (no admissible cell is left) and stop at the attempt cap
+SAMPLER_PINS = [
+    (gen_distributed_support, (20, 3, 1, None),
+     "a9d4a9faed376bdc1673bf27126e30bb7056a9c890934c53be83cf056171c3c6"),
+    (gen_distributed_support, (20, 3, 2, 6),
+     "91fdc604fb0eb32a56960c9fdbfca171c39ba4e44d3c29850d7beb846ec9a263"),
+    (gen_distributed_support, (40, 4, 7, None),
+     "0d423d5311a5ee194df630c3b1143ace172f1f672076d1c4031d13629bb276f6"),
+    (gen_distributed_support, (40, 4, 8, 12),
+     "5e5148d906aa1c5f14ed9f53260472636a935313c5e037da0af8eb15ad5ffbdc"),
+    (gen_distributed_support, (3, 2, 3, None),
+     "2c978116c95be7ef76a340ea608b93ddca73fb5c993a3d58c606cada6261a690"),
+    (gen_distributed_support, (3, 2, 3, 5),
+     "2c978116c95be7ef76a340ea608b93ddca73fb5c993a3d58c606cada6261a690"),
+    (gen_distributed_covariance, (12, 3, 4, None),
+     "fa17bcefd6eee7d334e990237f934aaeedfbb02a4bdbfd504f08bb44ce51ac0e"),
+    (gen_distributed_covariance, (12, 3, 4, 2),
+     "c140efc8a5780a9b5bd0fd3696dec8c0dc2c425229f2a3ccc137c3aac8d69db6"),
+    (gen_distributed_covariance, (30, 2, 11, None),
+     "0a2c545ac2fa22334ff562e55b94322b3278e20f3a24c2f16303cfb5b419811f"),
+    (gen_distributed_covariance, (3, 2, 0, None),
+     "615fe746f7e164aaa5355a0d10b8d15ddd79de77f09f8defb171831116c4d5a5"),
+    (gen_bounded_degree_graph, (20, 3, 5, None),
+     "9c240b5853101b469edd4679ba351951f0c93a449c53b7a2df8d33f5222707aa"),
+    (gen_bounded_degree_graph, (20, 3, 5, 4),
+     "048d0b652baf92466c2b06d518b4ad5641c2a8bb3404fc7b8cbf0ca650019d9b"),
+    (gen_bounded_degree_graph, (40, 3, 9, 16),
+     "63250fb0f9aec5799374b35b77a4e8ed9aa734bed98387aef94429271c2b3459"),
+    (gen_bounded_degree_graph, (3, 1, 0, None),
+     "acfd42a6d6c874000dace689964420160d6e61ef57a0a0d68a4a3ca8881fea45"),
+]
+
+
+@pytest.mark.parametrize("gen, args, digest", SAMPLER_PINS)
+def test_sampler_outputs_are_pinned(gen, args, digest):
+    out = gen(*args)
+    if isinstance(out, Support):
+        out = np.array(sorted(out.cells), dtype=np.int64)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_support_validation():

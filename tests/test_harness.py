@@ -107,6 +107,11 @@ def test_phase_diagram_rejects_unsorted_lists():
         phase_diagram([10, 6], [4], 1, 2, 0, threads=1)
 
 
+def test_phase_diagram_rejects_fewer_than_one_trial():
+    with pytest.raises(ParameterError):
+        phase_diagram([6], [4], 0, 2, 0, threads=1)
+
+
 def test_grids():
     ps, ms = paper_grid()
     assert ps == list(range(10, 61, 2)) and ms == list(range(2, 61, 2))
@@ -143,14 +148,6 @@ def test_phase_grid_m50_interpolation():
     assert grid.m50(20) == 6.0
     empty = PhaseGrid([5], [2, 4], np.array([[0.0, 0.1]]), 1)
     assert empty.m50(5) is None
-
-
-def test_phase_grid_smoothing_shape():
-    grid = hand_grid()
-    sm = grid.smoothed_rates()
-    assert sm.shape == grid.success_rate.shape
-    # smoothing preserves monotonicity of a monotone row
-    assert (np.diff(sm[0]) >= -1e-12).all()
 
 
 def test_render_phase_svg_deterministic_golden():

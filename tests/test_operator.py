@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsketch.ensemble import ParameterError, gen_left_regular
 from matsketch.operator import SketchOperator, kron_materialize, unvec, vec
@@ -75,6 +76,21 @@ def test_adjoint_pairing_identity():
         lhs = float(np.sum(op.forward(X) * M))
         rhs = float(np.sum(X * op.adjoint(M)))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9))
+def test_adjoint_pairing_on_random_rectangular_operators(seed, m, p1, p2):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, p1))
+    B = rng.standard_normal((m, p2))
+    op = SketchOperator(A=A, B=B)
+    X = rng.standard_normal((p1, p2))
+    W = rng.standard_normal((m, m))
+    lhs = float(np.sum(op.forward(X) * W))
+    rhs = float(np.sum(X * op.adjoint(W)))
+    scale = np.linalg.norm(A) * np.linalg.norm(B) * np.linalg.norm(X) * np.linalg.norm(W)
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 # --- vec / unvec ------------------------------------------------------------

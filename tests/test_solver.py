@@ -91,6 +91,20 @@ def test_projection_lands_on_constraint_set():
         assert np.linalg.norm(op.forward(Z) - Y) < 1e-8 * max(1, np.linalg.norm(Y))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9))
+def test_projection_is_feasible_and_idempotent_on_random_operators(seed, m, p1, p2):
+    rng = np.random.default_rng(seed)
+    op = SketchOperator(A=rng.standard_normal((m, p1)), B=rng.standard_normal((m, p2)))
+    Y = op.forward(rng.standard_normal((p1, p2)))
+    proj = AffineProjector(op)
+    Z = proj.project(rng.standard_normal((p1, p2)), Y)
+    # rounding error grows with the conditioning of the two factors
+    tol = 1e-11 * np.linalg.cond(op.A) * np.linalg.cond(op.B)
+    assert np.linalg.norm(op.forward(Z) - Y) <= tol * max(1.0, np.linalg.norm(Y))
+    assert np.abs(proj.project(Z, Y) - Z).max() <= tol * max(1.0, np.abs(Z).max())
+
+
 def test_kernel_projection():
     op, _, _ = small_instance(3, p=6)
     proj = AffineProjector(op)

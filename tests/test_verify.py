@@ -14,11 +14,12 @@ from matsketch.ensemble import (
 from matsketch.operator import SketchOperator
 from matsketch.verify import (
     arrow_ambiguity_witness,
-    brute_force_expansion,
     check_expansion,
     check_nullspace,
     check_rip1,
 )
+
+from oracles import brute_force_expansion
 
 
 # --- expansion --------------------------------------------------------------
