@@ -12,7 +12,8 @@ Exit codes, each failure with a one-line ``error:`` message on stderr:
     3  file error (OSError: a missing or unreadable input, an unwritable --out)
     4  bad configuration (--config or --pipeline-config is not valid JSON,
        --config names a field SolverOptions does not have, or the pipeline
-       JSON lacks a key or names an unknown mode)
+       JSON lacks a key, gives p, d, n or m as anything but a positive
+       integer, or names an unknown mode)
     5  solver failure (RuntimeError, e.g. the LP behind solve_p1 failed)
 """
 
@@ -79,7 +80,7 @@ FLAGS = {
     "matrix": dict(help="X as CSV"),
     "p-step": dict(type=_even_step, default=2, help="p stride over the paper grid (even)"),
     "m-step": dict(type=_even_step, default=2, help="m stride over the paper grid (even)"),
-    "threads": dict(type=int, help="worker processes (default SKETCH_THREADS or CPU count)"),
+    "threads": dict(type=int, help="worker processes >= 1 (default SKETCH_THREADS or CPU count)"),
     "pipeline-config": dict(help="covariance pipeline JSON"),
     "edges": dict(help="edge list file, 1-based 'u v' lines"),
     "partition": dict(help="'vertex part' lines; random if absent"),
@@ -226,6 +227,10 @@ def _cmd_cov_sketch(args) -> int:
     if not isinstance(cfg, dict) or not {"p", "d", "n", "m"} <= cfg.keys():
         raise ConfigError(f"{args.pipeline_config}: needs an object with keys p, d, n, m")
     p, d, n, m = cfg["p"], cfg["d"], cfg["n"], cfg["m"]
+    for key, value in zip("pdnm", (p, d, n, m)):
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{args.pipeline_config}: {key} must be a positive integer, "
+                              f"not {value!r}")
     mode = cfg.get("mode", "constrained")
     if mode not in ("constrained", "exact"):
         raise ConfigError(f"{args.pipeline_config}: unknown mode {mode!r}")

@@ -170,12 +170,19 @@ def _cell_successes(args) -> tuple:
 
 
 def worker_count(threads: int | None = None) -> int:
-    if threads is not None and threads >= 1:
-        return threads
-    env = os.environ.get("SKETCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """threads, else SKETCH_THREADS, else the CPU count; a count that is
+    not an integer of at least 1 raises ParameterError."""
+    if threads is None:
+        env = os.environ.get("SKETCH_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ParameterError(f"SKETCH_THREADS={env!r} is not an integer") from None
+    if threads < 1:
+        raise ParameterError(f"worker count {threads} must be >= 1")
+    return threads
 
 
 def phase_diagram(

@@ -261,26 +261,40 @@ def gen_bounded_degree_graph(
     return support.indicator().astype(float)
 
 
+def _index_pairs(path, p: int, parts: bool = False) -> list:
+    """0-based (a, b) from a text file of 1-based ``a b`` lines, with a in
+    1..p and b in 1..p, or b >= 1 when b names a part. Any other non-blank
+    line raises ParameterError naming the file and line."""
+    pairs = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                a, b = (int(t) for t in line.split())
+            except ValueError:
+                a = b = 0
+            if not (1 <= a <= p and 1 <= b and (parts or b <= p)):
+                want = f"a vertex in 1..{p} and a part >= 1" if parts else f"two vertices in 1..{p}"
+                raise ParameterError(f"{path}:{n}: {line.strip()!r} is not {want}")
+            pairs.append((a - 1, b - 1))
+    return pairs
+
+
 def load_edge_list(path, p: int) -> np.ndarray:
     """Adjacency from a text file of 1-based ``u v`` lines; self-loops are
     added for every vertex regardless of the file contents."""
     X = np.eye(p)
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                u, v = (int(t) - 1 for t in line.split())
-                X[u, v] = X[v, u] = 1.0
+    for u, v in _index_pairs(path, p):
+        X[u, v] = X[v, u] = 1.0
     return X
 
 
 def load_partition(path, p: int) -> list:
     """Parts from a text file of 1-based ``vertex part`` lines."""
     parts: dict[int, set] = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                v, k = (int(t) - 1 for t in line.split())
-                parts.setdefault(k, set()).add(v)
+    for v, k in _index_pairs(path, p, parts=True):
+        parts.setdefault(k, set()).add(v)
     return [sorted(parts[k]) for k in sorted(parts)]
 
 

@@ -8,7 +8,8 @@ solve_constrained
 lp_oracle   exact LP solution on small instances, used to validate the
             iterative path.
 
-solve_p1 runs ADMM for at most ADMM_BUDGET iterations. An instance still
+solve_p1 runs ADMM until a support snap that ADMM's own dual certifies as
+an l1 minimizer, for at most ADMM_BUDGET iterations. An instance still
 undecided then goes to an exact working-set LP, unless the caller capped
 max_iter at or below the budget. lp_oracle is that same LP with every
 column in the set from the start.
@@ -32,8 +33,9 @@ import scipy.sparse
 from .ensemble import ParameterError
 from .operator import SketchOperator, vec, unvec
 
-#: ADMM iterations before an undecided instance goes to the exact LP;
-#: recoverable instances snap by iteration 250-750 (the slowest seen: 4500)
+#: ADMM iterations before an instance without a certified snap goes to the
+#: exact LP; recoverable instances certify by iteration 250-750 (the slowest
+#: seen: 4750)
 ADMM_BUDGET = 5000
 
 #: factor by which solve_constrained lowers the penalty from lam_hi until
@@ -134,38 +136,38 @@ def _kron_columns(op: SketchOperator, rows: np.ndarray, cols: np.ndarray) -> np.
 
 
 def _refine_on_support(
-    op: SketchOperator, Y: np.ndarray, Z: np.ndarray, objective: float
+    op: SketchOperator, Y: np.ndarray, Z: np.ndarray, W: np.ndarray,
+    proj: AffineProjector,
 ) -> np.ndarray | None:
-    """Snap a near-converged iterate to an exact vertex solution.
+    """The least-squares solution x_S on the exact support S of Z, when it
+    meets the sketch and a KKT certificate proves it an l1 minimizer.
 
-    Tries least-squares solves of the sketch equations restricted to the
-    large-entry support of Z at a few thresholds; a candidate is accepted
-    only when it is feasible to machine precision and does not increase
-    the l1 objective, so the refinement never degrades honesty.
+    The dual starts at y0 = normal_solve(forward(W)) for the scaled ADMM
+    dual W = rho U; one least-squares step on S moves it to y with
+    K_S^T y = sign(x_S). That must hold to 1e-8, and no cell off S may
+    price above 1 + 1e-6 under |A^T y B|.
     """
-    z_max = float(np.abs(Z).max(initial=0.0))
-    if z_max == 0.0:
+    rows, cols = np.nonzero(Z)
+    if rows.size == 0 or rows.size > Y.size:
         return None
-    y = Y.reshape(-1, order="F")
-    y_scale = max(1.0, np.linalg.norm(y))
-    best = None
-    best_obj = objective + 1e-9 * max(1.0, objective)
-    tried = set()
-    for frac in (1e-2, 1e-3, 1e-4, 1e-5):
-        rows, cols = np.nonzero(np.abs(Z) > frac * z_max)
-        if rows.size == 0 or rows.size > Y.size or rows.size in tried:
-            continue
-        tried.add(rows.size)
-        cols_mat = _kron_columns(op, rows, cols)
-        sol, *_ = np.linalg.lstsq(cols_mat, y, rcond=None)
-        if np.linalg.norm(cols_mat @ sol - y) > 1e-10 * y_scale:
-            continue
-        obj = float(np.abs(sol).sum())
-        if obj < best_obj:
-            X_ref = np.zeros((op.p1, op.p2))
-            X_ref[rows, cols] = sol
-            best, best_obj = X_ref, obj
-    return best
+    y = vec(Y)
+    K_S = _kron_columns(op, rows, cols)
+    x_S, *_ = np.linalg.lstsq(K_S, y, rcond=None)
+    if np.linalg.norm(K_S @ x_S - y) > 1e-10 * max(1.0, np.linalg.norm(y)):
+        return None
+    y0 = vec(proj.normal_solve(op.forward(W)))
+    target = np.sign(x_S)
+    step, *_ = np.linalg.lstsq(K_S.T, target - K_S.T @ y0, rcond=None)
+    dual = y0 + step
+    if np.abs(K_S.T @ dual - target).max() > 1e-8:
+        return None
+    price = np.abs(op.adjoint(unvec(dual, op.m, op.m)))
+    price[rows, cols] = 0.0
+    if price.max() > 1.0 + 1e-6:
+        return None
+    X = np.zeros((op.p1, op.p2))
+    X[rows, cols] = x_S
+    return X
 
 
 def _working_set_lp(
@@ -231,11 +233,11 @@ def solve_p1(
     Alternates an exact projection onto the affine feasibility set with
     entrywise soft-thresholding (over-relaxed, alpha = 1.6); the penalty
     is rebalanced when the primal/dual residual ratio exceeds 10. Every
-    few hundred iterations the iterate is snapped to the least-squares
-    solution on its large-entry support; the snap is kept only when it is
-    feasible to machine precision, does not increase the objective, and
-    lies next to the iterate, which finishes the tail of the linear
-    convergence in one step.
+    250 iterations, and once on the final iterate, _refine_on_support
+    refits the sketch on the iterate's support and certifies the refit
+    with a dual built from rho U. The first certified snap ends the run,
+    finishing the tail of the linear convergence in one step, and sets
+    ``diagnostics["support_snap"]``; ADMM runs on past an uncertified one.
 
     ADMM runs at most min(opts.max_iter, ADMM_BUDGET) iterations. When it
     has not stopped by then and opts.max_iter exceeds the budget, the
@@ -243,7 +245,7 @@ def solve_p1(
     entries of the projected iterate and the cells whose scaled dual is at
     least 0.99 in magnitude; ``diagnostics["lp"]`` then reports its rounds.
     A max_iter at or below the budget is a cap: the run ends there,
-    unconverged.
+    converged only when the snap of the final iterate certifies.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (op.m, op.m):
@@ -271,14 +273,8 @@ def solve_p1(
             stopped = True
             break
         if iterations % refine_every == 0:
-            X_proj = proj.project(Z, Y)
-            cand = _refine_on_support(op, Y, Z, float(np.abs(X_proj).sum()))
-            if cand is not None and (
-                np.abs(cand - X_proj).max()
-                <= 1e-2 * max(1.0, np.abs(cand).max())
-            ):
-                refined = cand
-                stopped = True
+            refined = _refine_on_support(op, Y, Z, rho * U, proj)
+            if refined is not None:
                 break
         if r_norm > 10.0 * s_norm:
             rho *= 2.0
@@ -287,9 +283,12 @@ def solve_p1(
             rho /= 2.0
             U *= 2.0
 
+    if refined is None and (stopped or iterations % refine_every):
+        # the final iterate, unless its checkpoint already tried it
+        refined = _refine_on_support(op, Y, Z, rho * U, proj)
     diagnostics = {"rho_final": rho, "support_snap": refined is not None}
     if refined is not None:
-        X_star = refined
+        X_star, stopped = refined, True
     else:
         X_star = proj.project(Z, Y)
         if not stopped and opts.max_iter > ADMM_BUDGET:
@@ -298,11 +297,6 @@ def solve_p1(
             seed.flat[np.argsort(-score, axis=None, kind="stable")[: op.m * op.m]] = True
             X_star, diagnostics["lp"] = _working_set_lp(op, Y, score, seed)
             stopped = True
-        else:
-            cand = _refine_on_support(op, Y, Z, float(np.abs(X_star).sum()))
-            if cand is not None:
-                X_star = cand
-                diagnostics["support_snap"] = True
     feas = _feas_residual(op, X_star, Y)
     return RecoveryResult(
         x=X_star,

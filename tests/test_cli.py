@@ -302,6 +302,46 @@ def test_cov_sketch_bad_pipeline_is_a_config_error(change, tmp_path, capsys):
     assert not (tmp_path / "covariance.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["p", "d", "n", "m"])
+@pytest.mark.parametrize("value", ["12", 9.0, True, 0, -3])
+def test_cov_sketch_pipeline_counts_must_be_positive_ints(key, value, tmp_path, capsys):
+    cfg = {"p": 12, "d": 2, "n": 500, "m": 9, "delta": 3, "seed": 4, "mode": "exact"}
+    cfg[key] = value
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["cov-sketch", "--pipeline-config", str(path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{key} must be" in err
+    assert not (tmp_path / "covariance.csv").exists()
+
+
+@pytest.mark.parametrize("threads, env", [(["--threads", "0"], {}), (["--threads", "-1"], {}),
+                                          ([], {"SKETCH_THREADS": "abc"}),
+                                          ([], {"SKETCH_THREADS": "0"})])
+def test_phase_diagram_bad_worker_count_is_a_parameter_error(threads, env, tmp_path, capsys):
+    argv = ["phase-diagram", "--trials", "1", "--d", "2", "--p-step", "60", "--m-step", "60",
+            "--out", str(tmp_path)]
+    with mock.patch.dict(os.environ, env):
+        assert run(argv + threads) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("which, line", [("edges", "0 3"), ("edges", "1 9"), ("edges", "1 2 3"),
+                                         ("edges", "1 x"), ("partition", "9 1"),
+                                         ("partition", "2 0"), ("partition", "2")])
+def test_graph_sketch_bad_file_line_is_a_parameter_error(which, line, tmp_path, capsys):
+    argv, parts = _graph_sketch_files(tmp_path)
+    path = tmp_path / "e.txt" if which == "edges" else parts
+    path.write_text(path.read_text() + f"\n{line}\n")
+    assert run(argv + ["--partition", str(parts)]) == 1
+    n = len(path.read_text().splitlines())
+    assert capsys.readouterr().err == f"error: {path}:{n}: {line!r} is not " + (
+        "two vertices in 1..8\n" if which == "edges" else "a vertex in 1..8 and a part >= 1\n")
+    assert not (tmp_path / "graph_sketch.csv").exists()
+
+
 @settings(max_examples=3, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_phase_diagram_files_do_not_depend_on_the_worker_count(seed):

@@ -123,6 +123,17 @@ def test_worker_count(monkeypatch):
     assert worker_count(3) == 3
     monkeypatch.setenv("SKETCH_THREADS", "2")
     assert worker_count() == 2
+    assert worker_count(3) == 3
+
+
+@pytest.mark.parametrize("threads, env", [(0, "2"), (-1, None), (None, "abc"), (None, "0")])
+def test_worker_count_rejects_bad_counts(threads, env, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("SKETCH_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SKETCH_THREADS", env)
+    with pytest.raises(ParameterError):
+        worker_count(threads)
 
 
 def hand_grid():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,19 @@ def test_edge_list_and_partition_io(tmp_path):
     partition.write_text("1 1\n2 1\n3 2\n4 2\n5 2\n")
     parts = load_partition(partition, 5)
     assert parts == [[0, 1], [2, 3, 4]]
+
+
+@pytest.mark.parametrize("loader, line", [
+    (load_edge_list, "0 3"), (load_edge_list, "1 6"), (load_edge_list, "1 2 3"),
+    (load_edge_list, "1"), (load_edge_list, "1 2.5"),
+    (load_partition, "0 1"), (load_partition, "6 1"), (load_partition, "1 0"),
+    (load_partition, "1 a"),
+])
+def test_edge_list_and_partition_reject_bad_lines(loader, line, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text(f"1 2\n\n{line}\n")
+    with pytest.raises(ParameterError, match=re.escape(f"f.txt:3: '{line}' is not")):
+        loader(path, 5)
 
 
 # --- rectangular recovery ---------------------------------------------------

@@ -199,6 +199,36 @@ def full_sparse_lp(op, Y):
     return lp.fun
 
 
+@pytest.mark.parametrize("p, m, t, optimum", [
+    (60, 12, 2, 46.989243),
+    (40, 16, 2, 40.070598),
+    (30, 14, 3, 33.630937),
+])
+def test_p1_converges_only_at_the_lp_optimum_below_the_boundary(p, m, t, optimum):
+    # each of these once stopped at an uncertified snap above the optimum
+    op, X, Y = trial_instance(p, m, derive_seed(7, "b", p, m, t))
+    res = solve_p1(op, Y)
+    assert res.converged
+    assert abs(res.objective - optimum) <= 1e-6
+    assert res.feas_residual <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(6, 16), st.integers(3, 8),
+       st.sampled_from([5, 25, 100, 250, 50_000]))
+def test_every_support_snap_is_an_l1_minimizer(seed, p, m, max_iter):
+    # capped runs hand far-from-converged iterates to the snap too
+    rng = np.random.default_rng(seed)
+    op = SketchOperator.from_graphs(gen_left_regular(p, m, 2, int(rng.integers(1 << 31))))
+    sup = gen_distributed_support(p, 2, int(rng.integers(1 << 31)))
+    Y = op.forward(gen_distributed_matrix(sup, ("gaussian", 0.0, 1.0), int(rng.integers(1 << 31))))
+    res = solve_p1(op, Y, SolverOptions(max_iter=max_iter))
+    if res.diagnostics["support_snap"]:
+        obj = full_sparse_lp(op, Y)
+        assert res.converged
+        assert abs(res.objective - obj) <= 1e-9 * max(1.0, obj)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1), st.integers(3, 12))
 def test_working_set_lp_reaches_the_full_lp_optimum(inst_seed, set_seed, p):
