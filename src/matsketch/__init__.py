@@ -49,7 +49,6 @@ from .pipelines import (
     graph_sketch,
     graph_unsketch,
     recover_covariance,
-    rectangular_recover,
 )
 from .harness import (
     PhaseGrid,

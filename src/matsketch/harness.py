@@ -92,15 +92,20 @@ class TrialRecord:
         return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
 
-def run_trial(cfg: TrialConfig, opts: SolverOptions = SolverOptions()) -> TrialRecord:
-    """One seeded generate-sketch-recover experiment (B = A)."""
-    delta = cfg.effective_delta
-    g = gen_screened_graph(cfg.p, cfg.m, delta, derive_seed(cfg.seed, "graph"))
+def _planted_instance(cfg: TrialConfig, seed: int) -> tuple:
+    """The operator (B = A) and planted matrix X that cfg draws at seed."""
+    g = gen_screened_graph(cfg.p, cfg.m, cfg.effective_delta, derive_seed(seed, "graph"))
     op = SketchOperator.from_graphs(g, clip_binary=cfg.clip_binary)
     support = gen_distributed_support(
-        cfg.p, cfg.d, derive_seed(cfg.seed, "support"), n_off=cfg.effective_off_cells
+        cfg.p, cfg.d, derive_seed(seed, "support"), n_off=cfg.effective_off_cells
     )
-    X = gen_distributed_matrix(support, cfg.value_spec, derive_seed(cfg.seed, "values"))
+    X = gen_distributed_matrix(support, cfg.value_spec, derive_seed(seed, "values"))
+    return op, X
+
+
+def run_trial(cfg: TrialConfig, opts: SolverOptions = SolverOptions()) -> TrialRecord:
+    """One seeded generate-sketch-recover experiment (B = A)."""
+    op, X = _planted_instance(cfg, cfg.seed)
     Y = op.forward(X)
     if cfg.mode == "p1":
         res = solve_p1(op, Y, opts)
@@ -298,16 +303,10 @@ def noise_sweep(
     scales = list(noise_scales)
     if any(s < 0 for s in scales) or scales != sorted(scales):
         raise ParameterError("noise scales must be nonnegative and ascending")
-    delta = cfg.effective_delta
     rows = []
     for t in range(trials):
         seed = derive_seed(cfg.seed, "noise-trial", t)
-        g = gen_screened_graph(cfg.p, cfg.m, delta, derive_seed(seed, "graph"))
-        op = SketchOperator.from_graphs(g, clip_binary=cfg.clip_binary)
-        support = gen_distributed_support(
-            cfg.p, cfg.d, derive_seed(seed, "support"), n_off=cfg.effective_off_cells
-        )
-        X = gen_distributed_matrix(support, cfg.value_spec, derive_seed(seed, "values"))
+        op, X = _planted_instance(cfg, seed)
         rng = np.random.default_rng(derive_seed(seed, "perturbation"))
         N_dir = rng.standard_normal((cfg.p, cfg.p))
         N_dir /= np.abs(N_dir).sum()

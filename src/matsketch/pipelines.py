@@ -1,6 +1,6 @@
 """End-to-end application flows built on the core recovery path:
 covariance sketching from streamed samples, cross-covariance sketching,
-graph sketching / unsketching, and rectangular recovery via zero padding.
+and graph sketching / unsketching.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from .ensemble import (
     ParameterError,
     Support,
     _rejection_support,
-    gen_distributed_matrix,
-    gen_left_regular,
     gen_screened_graph,
 )
 from .operator import SketchOperator
@@ -140,7 +138,8 @@ def cross_cov_recover(
     opts: SolverOptions = SolverOptions(),
 ) -> RecoveryResult:
     """Recover a distributed-sparse cross-covariance from A Sigma B^T;
-    independent sketching matrices, no symmetry requirement."""
+    independent sketching matrices, no symmetry requirement. A (m x p1)
+    and B (m x p2) may differ in column count: Sigma is then p1 x p2."""
     op = SketchOperator(A=np.array(A, dtype=float), B=np.array(B, dtype=float))
     return solve_p1(op, np.asarray(sigma_zw, dtype=float), opts)
 
@@ -297,43 +296,3 @@ def load_partition(path, p: int) -> list:
         parts.setdefault(k, set()).add(v)
     return [sorted(parts[k]) for k in sorted(parts)]
 
-
-# --- rectangular recovery --------------------------------------------------
-
-
-def rectangular_recover(
-    A: np.ndarray,
-    B: np.ndarray,
-    Y: np.ndarray,
-    delta: int,
-    pad_seed: int,
-    opts: SolverOptions = SolverOptions(),
-    pad_tol: float = 1e-6,
-):
-    """Recover a rectangular p1 x p2 distributed-sparse matrix from A X B^T.
-
-    The narrower sketching matrix is augmented with fresh ensemble columns
-    so the square solver applies; the padding rows of the solution must
-    come back (near) zero, and are stripped from the returned matrix.
-    Returns (X p1 x p2, RecoveryResult for the padded square problem).
-    """
-    A = np.array(A, dtype=float)
-    B = np.array(B, dtype=float)
-    m, p1 = A.shape
-    p2 = B.shape[1]
-    if p1 > p2:
-        X_t, res = rectangular_recover(B, A, np.asarray(Y).T, delta, pad_seed, opts, pad_tol)
-        return X_t.T, res
-    p = p2
-    if p1 < p:
-        pad = gen_left_regular(p - p1, m, delta, pad_seed).adjacency()
-        A_sq = np.hstack([A, pad])
-    else:
-        A_sq = A
-    op = SketchOperator(A=A_sq, B=B)
-    res = solve_p1(op, np.asarray(Y, dtype=float), opts)
-    pad_mass = float(np.abs(res.x[p1:, :]).max(initial=0.0))
-    if pad_mass > pad_tol:
-        res.converged = False
-    res.diagnostics["pad_row_max"] = pad_mass
-    return res.x[:p1, :], res

@@ -9,10 +9,9 @@ lp_oracle   exact LP solution on small instances, used to validate the
             iterative path.
 
 solve_p1 runs ADMM until a support snap that ADMM's own dual certifies as
-an l1 minimizer, for at most ADMM_BUDGET iterations. An instance still
-undecided then goes to an exact working-set LP, unless the caller capped
-max_iter at or below the budget. lp_oracle is that same LP with every
-column in the set from the start.
+an l1 minimizer, for at most min(max_iter, ADMM_BUDGET) iterations. An
+instance still undecided then goes to an exact working-set LP. lp_oracle
+is that same LP with every column in the set from the start.
 
 solve_constrained follows the penalty path of solve_p2 down from
 lam_hi = 2 max|A^T Y B|, where X = 0, by a factor LAM_STEP per
@@ -42,12 +41,15 @@ ADMM_BUDGET = 5000
 #: the residual first meets kappa
 LAM_STEP = 4.0
 
+#: most geometric bisection solves solve_constrained runs inside the bracket
+MAX_BISECT = 30
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_feas: float = 1e-8  # relative feasibility tolerance
     tol_obj: float = 1e-9  # objective / residual stagnation tolerance
-    max_iter: int = 50_000
+    max_iter: int = 50_000  # bounds ADMM before the LP, and FISTA
     rho: float = 1.0  # ADMM penalty, adapted by residual balancing
 
     def __post_init__(self):
@@ -233,19 +235,17 @@ def solve_p1(
     Alternates an exact projection onto the affine feasibility set with
     entrywise soft-thresholding (over-relaxed, alpha = 1.6); the penalty
     is rebalanced when the primal/dual residual ratio exceeds 10. Every
-    250 iterations, and once on the final iterate, _refine_on_support
+    250 iterations, and at ADMM's residual stop, _refine_on_support
     refits the sketch on the iterate's support and certifies the refit
     with a dual built from rho U. The first certified snap ends the run,
     finishing the tail of the linear convergence in one step, and sets
     ``diagnostics["support_snap"]``; ADMM runs on past an uncertified one.
 
-    ADMM runs at most min(opts.max_iter, ADMM_BUDGET) iterations. When it
-    has not stopped by then and opts.max_iter exceeds the budget, the
-    instance goes to the exact working-set LP, seeded with the m^2 largest
-    entries of the projected iterate and the cells whose scaled dual is at
-    least 0.99 in magnitude; ``diagnostics["lp"]`` then reports its rounds.
-    A max_iter at or below the budget is a cap: the run ends there,
-    converged only when the snap of the final iterate certifies.
+    ADMM runs at most min(opts.max_iter, ADMM_BUDGET) iterations. A run
+    that neither certifies a snap nor meets ADMM's residual stop by then
+    goes to the exact working-set LP, seeded with the m^2 largest entries
+    of the projected iterate and the cells whose scaled dual is at least
+    0.99 in magnitude; ``diagnostics["lp"]`` then reports its rounds.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (op.m, op.m):
@@ -259,7 +259,6 @@ def solve_p1(
     U = np.zeros(shape)
     rho = opts.rho
     refined = None
-    stopped = False
     for iterations in range(1, min(opts.max_iter, ADMM_BUDGET) + 1):
         X = proj.project(Z - U, Y)
         Z_prev = Z
@@ -269,12 +268,10 @@ def solve_p1(
         r_norm = np.linalg.norm(X - Z)
         s_norm = rho * np.linalg.norm(Z - Z_prev)
         tol = opts.tol_obj * max(1.0, np.linalg.norm(Z))
-        if r_norm <= tol and s_norm <= tol:
-            stopped = True
-            break
-        if iterations % refine_every == 0:
+        stop = r_norm <= tol and s_norm <= tol
+        if stop or iterations % refine_every == 0:
             refined = _refine_on_support(op, Y, Z, rho * U, proj)
-            if refined is not None:
+            if stop or refined is not None:
                 break
         if r_norm > 10.0 * s_norm:
             rho *= 2.0
@@ -283,27 +280,21 @@ def solve_p1(
             rho /= 2.0
             U *= 2.0
 
-    if refined is None and (stopped or iterations % refine_every):
-        # the final iterate, unless its checkpoint already tried it
-        refined = _refine_on_support(op, Y, Z, rho * U, proj)
     diagnostics = {"rho_final": rho, "support_snap": refined is not None}
-    if refined is not None:
-        X_star, stopped = refined, True
-    else:
-        X_star = proj.project(Z, Y)
-        if not stopped and opts.max_iter > ADMM_BUDGET:
-            score = np.abs(X_star)
-            seed = np.abs(rho * U) >= 0.99
-            seed.flat[np.argsort(-score, axis=None, kind="stable")[: op.m * op.m]] = True
-            X_star, diagnostics["lp"] = _working_set_lp(op, Y, score, seed)
-            stopped = True
+    X_star = refined if refined is not None else proj.project(Z, Y)
+    if refined is None and not stop:
+        # ADMM ran out of iterations undecided: the exact LP decides
+        score = np.abs(X_star)
+        seed = np.abs(rho * U) >= 0.99
+        seed.flat[np.argsort(-score, axis=None, kind="stable")[: op.m * op.m]] = True
+        X_star, diagnostics["lp"] = _working_set_lp(op, Y, score, seed)
     feas = _feas_residual(op, X_star, Y)
     return RecoveryResult(
         x=X_star,
         objective=float(np.abs(X_star).sum()),
         feas_residual=feas,
         iterations=iterations,
-        converged=stopped and feas <= opts.tol_feas,
+        converged=feas <= opts.tol_feas,
         diagnostics=diagnostics,
     )
 
@@ -398,7 +389,6 @@ def solve_constrained(
     Y: np.ndarray,
     kappa: float,
     opts: SolverOptions = SolverOptions(),
-    max_bisect: int = 30,
 ) -> RecoveryResult:
     """min ||X||_1 s.t. ||A X B^T - Y||_2 <= kappa, through the penalty in
     solve_p2, whose residual r(lam) grows with lam.
@@ -408,7 +398,7 @@ def solve_constrained(
     first lam with r(lam) <= kappa. That lam and the one before it bracket
     kappa. Unless r already lies in [0.99 kappa, kappa], a geometric
     bisection over the bracket, warm-started the same way, runs until it
-    does (at most max_bisect solves). The descent stops at the floor
+    does (at most MAX_BISECT solves). The descent stops at the floor
     1e-8 * lam_hi; a floor solve that still misses kappa is returned with
     converged=False. So is X = 0 when A^T Y B = 0, since no X then comes
     closer to Y than ||Y||.
@@ -454,7 +444,7 @@ def solve_constrained(
             best.diagnostics.update({"kappa": kappa, "constraint_residual": r})
             return best
     if r < 0.99 * kappa:
-        for _ in range(max_bisect):
+        for _ in range(MAX_BISECT):
             lam_mid = np.sqrt(lam_lo * lam_hi)
             res, r = residual_at(lam_mid, x_warm)
             x_warm = res.x

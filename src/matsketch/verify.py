@@ -185,18 +185,13 @@ def check_nullspace(
     return max_ratio
 
 
-def arrow_ambiguity_witness(
-    op: SketchOperator, p_arrow: int | None = None, residual_tol: float = 1e-10
-):
+def arrow_ambiguity_witness(op: SketchOperator, residual_tol: float = 1e-10):
     """Two distinct matrices with identical sketches: the arrow matrix X and
     X with a kernel vector of A added to its first column.
 
     Fails (raises) when A has a trivial kernel, e.g. the square invertible
     case, or when the kernel extraction is not accurate to residual_tol.
     """
-    p = op.p1 if p_arrow is None else p_arrow
-    if p != op.p1:
-        raise ParameterError("arrow size must match the operator's left size")
     basis = scipy.linalg.null_space(op.A)
     if basis.shape[1] == 0:
         raise ParameterError("A has a trivial kernel: no ambiguity witness exists")
@@ -205,7 +200,7 @@ def arrow_ambiguity_witness(
     res = float(np.linalg.norm(op.A @ v))
     if res > residual_tol:
         raise RuntimeError(f"kernel extraction residual {res:.2e} > {residual_tol:.2e}")
-    X = arrow_matrix(p)
+    X = arrow_matrix(op.p1)
     X_alt = X.copy()
     X_alt[:, 0] += v
     sketch_gap = float(np.linalg.norm(op.forward(X) - op.forward(X_alt)))

@@ -231,7 +231,9 @@ def test_criterion_6_nullspace_property():
 
 def test_criterion_7_noise_robustness():
     cfg = TrialConfig(p=40, m=21, d=4, delta=4, seed=derive_seed(MASTER, "c7"))
-    opts = SolverOptions(max_iter=5000)
+    # one ADMM step, then the exact LP: the bounds are about the program's
+    # minimizer, and these dense noisy minimizers never snap
+    opts = SolverOptions(max_iter=1)
     rows = noise_sweep(cfg, [0.5, 1.0, 2.0], trials=20, opts=opts)
     ratios = [r.error_l1 / r.noise_l1 for r in rows]
     means = {s: np.mean([r.error_l1 for r in rows if r.scale == s])

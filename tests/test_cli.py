@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matsketch.cli
+import matsketch.pipelines
 from matsketch.cli import FLAGS, SUBCOMMANDS, build_parser, main
 from matsketch.ensemble import load_graph, load_matrix_csv
+from matsketch.solver import SolverOptions
 
 
 def run(argv):
@@ -67,7 +69,8 @@ def test_recover_solver_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_iter": 1}))
     code = run(["recover", "--p", "10", "--m", "8", "--d", "2", "--delta", "3",
                 "--seed", "5", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2  # iteration cap hit: non-convergence exit code
+    assert code == 0  # one ADMM step, then the exact LP
+    assert json.loads((tmp_path / "trial.json").read_text())["iterations"] == 1
 
 
 def test_check_subcommands(capsys):
@@ -254,13 +257,22 @@ def _graph_sketch_files(tmp_path):
     return ["graph-sketch", "--edges", str(edges), "--p", "8", "--out", str(tmp_path)], parts
 
 
-def test_graph_sketch_honours_solver_config(tmp_path, capsys):
+def test_graph_sketch_honours_solver_config(tmp_path, capsys, monkeypatch):
     argv, _ = _graph_sketch_files(tmp_path)
     opts = tmp_path / "opts.json"
     opts.write_text(json.dumps({"max_iter": 1}))
     argv += ["--m", "5", "--delta", "2", "--seed", "7", "--unsketch"]
+    seen = []
+    solve_p1 = matsketch.pipelines.solve_p1
+
+    def spy(op, Y, opts):
+        seen.append(opts.max_iter)
+        return solve_p1(op, Y, opts)
+
+    monkeypatch.setattr(matsketch.pipelines, "solve_p1", spy)
     assert run(argv) == 0
-    assert run(argv + ["--config", str(opts)]) == 2
+    assert run(argv + ["--config", str(opts)]) == 0
+    assert seen == [SolverOptions().max_iter, 1]
 
 
 def test_graph_sketch_partition_rejects_random_partition_flags(tmp_path, capsys):

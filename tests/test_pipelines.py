@@ -25,7 +25,6 @@ from matsketch.pipelines import (
     load_partition,
     random_partition,
     recover_covariance,
-    rectangular_recover,
     select_kappa_cv,
 )
 
@@ -250,9 +249,9 @@ def test_rectangular_square_case_matches_direct_path():
     A = gen_screened_graph(10, 7, 3, 1).adjacency()
     B = gen_screened_graph(10, 7, 3, 2).adjacency()
     X = rect_sparse(10, 10, 2, 6, 3)
-    X_hat, res = rectangular_recover(A, B, A @ X @ B.T, 3, 9)
+    res = cross_cov_recover(A, B, A @ X @ B.T)
     assert res.converged
-    assert np.abs(X_hat - X).max() <= 1e-4
+    assert np.abs(res.x - X).max() <= 1e-4
 
 
 def test_rectangular_single_nonzero():
@@ -260,12 +259,13 @@ def test_rectangular_single_nonzero():
     B = gen_screened_graph(9, 5, 2, 5).adjacency()
     X = np.zeros((4, 9))
     X[2, 6] = 1.5
-    X_hat, res = rectangular_recover(A, B, A @ X @ B.T, 2, 3)
-    assert res.converged
-    assert np.abs(X_hat - X).max() <= 1e-6
+    res = cross_cov_recover(A, B, A @ X @ B.T)
+    assert res.converged and res.x.shape == (4, 9)
+    assert np.abs(res.x - X).max() <= 1e-6
 
 
 def test_rectangular_recovery_wide_and_tall():
+    # A and B differ in column count: X is p1 x p2, solved directly
     wins = 0
     trials = 10
     for t in range(trials):
@@ -273,13 +273,12 @@ def test_rectangular_recovery_wide_and_tall():
         A = gen_screened_graph(20, 21, 4, derive_seed(seed, "a")).adjacency()
         B = gen_screened_graph(40, 21, 4, derive_seed(seed, "b")).adjacency()
         X = rect_sparse(20, 40, 3, 24, derive_seed(seed, "x"))
-        X_hat, res = rectangular_recover(A, B, A @ X @ B.T, 4, derive_seed(seed, "p"))
-        wins += res.converged and np.abs(X_hat - X).max() <= 1e-4
+        res = cross_cov_recover(A, B, A @ X @ B.T)
+        wins += res.converged and np.abs(res.x - X).max() <= 1e-4
     assert wins >= 8
-    # tall input goes through the internal transpose
     A = gen_screened_graph(40, 21, 4, 1).adjacency()
     B = gen_screened_graph(20, 21, 4, 2).adjacency()
     X = rect_sparse(40, 20, 3, 24, 3)
-    X_hat, res = rectangular_recover(A, B, A @ X @ B.T, 4, 4)
+    res = cross_cov_recover(A, B, A @ X @ B.T)
     assert res.converged
-    assert np.abs(X_hat - X).max() <= 1e-4
+    assert np.abs(res.x - X).max() <= 1e-4

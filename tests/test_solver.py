@@ -153,10 +153,12 @@ def test_p1_objective_matches_lp_on_random_small_instances():
         assert abs(res.objective - oracle.objective) <= 1e-6
 
 
-def test_p1_nonconvergence_is_flagged_not_raised():
+def test_p1_max_iter_bounds_admm_before_the_lp():
     op, X, Y = small_instance(7, p=6)
     res = solve_p1(op, Y, SolverOptions(max_iter=2))
-    assert not res.converged
+    assert res.converged and res.iterations == 2 and "lp" in res.diagnostics
+    oracle = lp_oracle(op, Y)
+    assert abs(res.objective - oracle.objective) <= 1e-9 * max(1.0, oracle.objective)
 
 
 def trial_instance(p, m, seed, delta=None):
@@ -217,15 +219,15 @@ def test_p1_converges_only_at_the_lp_optimum_below_the_boundary(p, m, t, optimum
 @given(st.integers(0, 2**31 - 1), st.integers(6, 16), st.integers(3, 8),
        st.sampled_from([5, 25, 100, 250, 50_000]))
 def test_every_support_snap_is_an_l1_minimizer(seed, p, m, max_iter):
-    # capped runs hand far-from-converged iterates to the snap too
+    # small max_iter hands far-from-converged iterates to the snap and the LP
     rng = np.random.default_rng(seed)
     op = SketchOperator.from_graphs(gen_left_regular(p, m, 2, int(rng.integers(1 << 31))))
     sup = gen_distributed_support(p, 2, int(rng.integers(1 << 31)))
     Y = op.forward(gen_distributed_matrix(sup, ("gaussian", 0.0, 1.0), int(rng.integers(1 << 31))))
     res = solve_p1(op, Y, SolverOptions(max_iter=max_iter))
-    if res.diagnostics["support_snap"]:
+    assert res.converged
+    if res.diagnostics["support_snap"] or "lp" in res.diagnostics:
         obj = full_sparse_lp(op, Y)
-        assert res.converged
         assert abs(res.objective - obj) <= 1e-9 * max(1.0, obj)
 
 

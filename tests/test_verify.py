@@ -165,10 +165,3 @@ def test_arrow_witness_requires_nontrivial_kernel():
     op = SketchOperator(A=np.eye(4), B=np.eye(4), shared_ab=True)
     with pytest.raises(ParameterError):
         arrow_ambiguity_witness(op)
-
-
-def test_arrow_witness_size_mismatch():
-    g = gen_left_regular(12, 8, 3, 7)
-    op = SketchOperator.from_graphs(g)
-    with pytest.raises(ParameterError):
-        arrow_ambiguity_witness(op, p_arrow=10)
