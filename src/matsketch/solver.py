@@ -22,6 +22,7 @@ inside that last step then lands the residual within 1% of kappa.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,10 @@ class RecoveryResult:
 
 
 def soft_threshold(X: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
+    """sign(X) max(|X| - t, 0) as X - clamp(X, -t, t), in one new buffer."""
+    S = np.maximum(X, -t)
+    np.minimum(S, t, out=S)
+    return np.subtract(X, S, out=S)
 
 
 class AffineProjector:
@@ -93,13 +97,18 @@ class AffineProjector:
 
     Uses eigendecompositions of the small Gram matrices G_A = A A^T and
     G_B = B B^T; the pseudoinverse of the vectorized normal operator
-    kron(G_B, G_A) factors as kron(pinv(G_B), pinv(G_A)).
+    kron(G_B, G_A) factors as kron(pinv(G_B), pinv(G_A)). The projection
+    X0 - A^T pinv(G_A) (A X0 B^T - Y) pinv(G_B) B keeps the two outer
+    factors L = A^T pinv(G_A) (p1 x m) and R = pinv(G_B) B (m x p2), so
+    each call is forward plus two skinny products.
     """
 
     def __init__(self, op: SketchOperator):
         self.op = op
-        self._pinv_a = self._sym_pinv(op.A @ op.A.T)
-        self._pinv_b = self._pinv_a if op.shared_ab else self._sym_pinv(op.B @ op.B.T)
+        pinv_a = self._sym_pinv(op.A @ op.A.T)
+        pinv_b = pinv_a if op.shared_ab else self._sym_pinv(op.B @ op.B.T)
+        self._left = op.A.T @ pinv_a
+        self._right = pinv_b @ op.B
 
     @staticmethod
     def _sym_pinv(G: np.ndarray) -> np.ndarray:
@@ -110,17 +119,21 @@ class AffineProjector:
         inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
         return (V * inv) @ V.T
 
-    def normal_solve(self, R: np.ndarray) -> np.ndarray:
-        """W minimizing ||G_A W G_B - R||_F (exact solve when invertible)."""
-        return self._pinv_a @ R @ self._pinv_b
-
     def project(self, X0: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        R = self.op.forward(X0) - Y
-        return X0 - self.op.adjoint(self.normal_solve(R))
+        return X0 - (self._left @ (self.op.forward(X0) - Y)) @ self._right
+
+    def dual_fit(self, W: np.ndarray) -> np.ndarray:
+        """The least-norm m x m D minimizing ||A^T D B - W||_F: L^T W R^T."""
+        return self._left.T @ W @ self._right.T
 
     def kernel_project(self, V: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the kernel of the forward map."""
         return self.project(V, np.zeros((self.op.m, self.op.m)))
+
+
+def _norm(D: np.ndarray) -> float:
+    """Frobenius norm; cheaper than np.linalg.norm on small arrays."""
+    return math.sqrt(np.vdot(D, D))
 
 
 def _feas_residual(op: SketchOperator, X: np.ndarray, Y: np.ndarray) -> float:
@@ -144,22 +157,31 @@ def _refine_on_support(
     """The least-squares solution x_S on the exact support S of Z, when it
     meets the sketch and a KKT certificate proves it an l1 minimizer.
 
-    The dual starts at y0 = normal_solve(forward(W)) for the scaled ADMM
-    dual W = rho U; one least-squares step on S moves it to y with
-    K_S^T y = sign(x_S). That must hold to 1e-8, and no cell off S may
+    The dual starts at y0 = dual_fit(W), the least-squares fit of the
+    scaled ADMM dual W = rho U; one least-squares step on S moves it to y
+    with K_S^T y = sign(x_S). That must hold to 1e-8, and no cell off S may
     price above 1 + 1e-6 under |A^T y B|.
+
+    Both least-squares solves are LAPACK gelsy (QR with column pivoting),
+    minimum-norm when K_S is rank deficient. Its cutoff takes numpy's
+    rcond=None value, eps * max(K_S.shape), as the bound on the condition
+    estimate of the pivoted QR's leading block; scipy's default eps loses
+    the certificate on criterion 11's tied instance.
     """
     rows, cols = np.nonzero(Z)
     if rows.size == 0 or rows.size > Y.size:
         return None
     y = vec(Y)
     K_S = _kron_columns(op, rows, cols)
-    x_S, *_ = np.linalg.lstsq(K_S, y, rcond=None)
+    cond = np.finfo(float).eps * max(K_S.shape)
+    x_S, *_ = scipy.linalg.lstsq(K_S, y, cond=cond, lapack_driver="gelsy", check_finite=False)
     if np.linalg.norm(K_S @ x_S - y) > 1e-10 * max(1.0, np.linalg.norm(y)):
         return None
-    y0 = vec(proj.normal_solve(op.forward(W)))
+    y0 = vec(proj.dual_fit(W))
     target = np.sign(x_S)
-    step, *_ = np.linalg.lstsq(K_S.T, target - K_S.T @ y0, rcond=None)
+    step, *_ = scipy.linalg.lstsq(
+        K_S.T, target - K_S.T @ y0, cond=cond, lapack_driver="gelsy", check_finite=False
+    )
     dual = y0 + step
     if np.abs(K_S.T @ dual - target).max() > 1e-8:
         return None
@@ -262,12 +284,14 @@ def solve_p1(
     for iterations in range(1, min(opts.max_iter, ADMM_BUDGET) + 1):
         X = proj.project(Z - U, Y)
         Z_prev = Z
-        X_hat = alpha * X + (1.0 - alpha) * Z_prev
-        Z = soft_threshold(X_hat + U, 1.0 / rho)
-        U = U + X_hat - Z
-        r_norm = np.linalg.norm(X - Z)
-        s_norm = rho * np.linalg.norm(Z - Z_prev)
-        tol = opts.tol_obj * max(1.0, np.linalg.norm(Z))
+        X_hat = alpha * X
+        X_hat += (1.0 - alpha) * Z_prev
+        U += X_hat  # U + X_hat - Z, in that order, in place
+        Z = soft_threshold(U, 1.0 / rho)
+        U -= Z
+        r_norm = _norm(X - Z)
+        s_norm = rho * _norm(Z - Z_prev)
+        tol = opts.tol_obj * max(1.0, _norm(Z))
         stop = r_norm <= tol and s_norm <= tol
         if stop or iterations % refine_every == 0:
             refined = _refine_on_support(op, Y, Z, rho * U, proj)

@@ -1,5 +1,10 @@
-"""Exhaustive set-arithmetic oracles that the tests compare the vectorized
-library paths against; small p only."""
+"""Independent oracles that the tests compare the library paths against:
+exhaustive set arithmetic (small p only) and the equality program as one
+sparse LP over every column."""
+
+import numpy as np
+import scipy.optimize
+import scipy.sparse
 
 from matsketch.ensemble import Support, TensorGraph
 from matsketch.verify import ExpansionReport
@@ -55,3 +60,14 @@ def brute_force_expansion(
         passed_outside=max_outside <= cbound,
         passed_inside=max_inside <= cbound,
     )
+
+
+def full_sparse_lp(op, Y) -> float:
+    """min 1^T (u + v) s.t. [K, -K] [u; v] = vec(Y), u, v >= 0, K = kron(B, A)."""
+    K = scipy.sparse.kron(scipy.sparse.csc_matrix(op.B), scipy.sparse.csc_matrix(op.A))
+    lp = scipy.optimize.linprog(
+        np.ones(2 * K.shape[1]), A_eq=scipy.sparse.hstack([K, -K]),
+        b_eq=Y.reshape(-1, order="F"), bounds=(0, None), method="highs",
+    )
+    assert lp.success
+    return lp.fun

@@ -22,6 +22,7 @@ from matsketch.ensemble import (
 )
 from matsketch.harness import (
     TrialConfig,
+    _planted_instance,
     derive_seed,
     noise_sweep,
     paper_grid,
@@ -47,7 +48,7 @@ from matsketch.verify import (
     check_rip1,
 )
 
-from oracles import brute_force_expansion
+from oracles import brute_force_expansion, full_sparse_lp
 
 MASTER = 7
 
@@ -194,6 +195,18 @@ def test_criterion_5_lp_oracle_equivalence():
     scorecard(5, "iterative solver matches exact LP", ok,
               f"max objective gap {worst:.2e} over {n} instances")
     assert ok
+
+
+@pytest.mark.parametrize("p, m", [(20, 10), (20, 24), (40, 12), (40, 32)])
+def test_criterion_5_at_grid_sizes(p, m):
+    # m on both sides of sqrt(14 p): the LP or a certified snap decides
+    for t in range(2):
+        cfg = TrialConfig(p=p, m=m, d=4, seed=derive_seed(MASTER, "c5-grid", p, m, t))
+        op, X = _planted_instance(cfg, cfg.seed)
+        Y = op.forward(X)
+        res = solve_p1(op, Y)
+        assert res.converged
+        assert abs(res.objective - full_sparse_lp(op, Y)) <= 1e-6
 
 
 def test_criterion_6_nullspace_property():

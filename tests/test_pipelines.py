@@ -182,6 +182,19 @@ def test_graph_round_trip_at_experiment_scale():
     assert wins >= 8
 
 
+def test_graph_round_trip_certifies_the_tied_instance_at_the_first_checkpoint():
+    # criterion 11's t=6 instance has two l1 minimizers; the snap's gelsy
+    # solves certify the planted one at the first checkpoint with the cutoff
+    # eps * max(K_S.shape) (numpy's rcond=None value, applied to gelsy's
+    # condition estimate of the pivoted QR), and not with scipy's default eps
+    seed = derive_seed(7, "c11", 6)
+    X = gen_bounded_degree_graph(40, 3, derive_seed(seed, "g"), n_edges=16)
+    A = random_partition(40, 21, 4, derive_seed(seed, "a"))
+    res, rounded = graph_unsketch(A @ X @ A.T, A)
+    assert res.diagnostics["support_snap"] and res.iterations == 250
+    assert np.array_equal(rounded, X)
+
+
 def test_bounded_degree_graph_properties():
     X = gen_bounded_degree_graph(20, 3, 5)
     assert np.array_equal(X, X.T)

@@ -2,9 +2,8 @@ import json
 
 import numpy as np
 import pytest
-import scipy.optimize
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matsketch import solver
 from matsketch.ensemble import (
@@ -14,7 +13,7 @@ from matsketch.ensemble import (
     gen_left_regular,
     gen_screened_graph,
 )
-from matsketch.harness import TrialConfig, derive_seed
+from matsketch.harness import TrialConfig, _planted_instance, derive_seed
 from matsketch.operator import SketchOperator
 from matsketch.pipelines import (
     SampleStream,
@@ -34,6 +33,8 @@ from matsketch.solver import (
     solve_p1,
     solve_p2,
 )
+
+from oracles import full_sparse_lp
 
 
 def small_instance(seed, p=None, d=2):
@@ -71,6 +72,14 @@ def test_soft_threshold():
     assert np.array_equal(soft_threshold(X, 1.0), np.array([-2.0, 0.0, 0.0, 0.0, 2.0]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(-1e6, 1e6)),
+       st.floats(0.0, 1e6))
+def test_soft_threshold_is_the_entrywise_shrinkage(X, t):
+    assert np.array_equal(soft_threshold(X, t), np.sign(X) * np.maximum(np.abs(X) - t, 0.0))
+
+
 def test_result_json_round_trip():
     op, X, Y = small_instance(0)
     res = solve_p1(op, Y)
@@ -98,11 +107,22 @@ def test_projection_is_feasible_and_idempotent_on_random_operators(seed, m, p1, 
     op = SketchOperator(A=rng.standard_normal((m, p1)), B=rng.standard_normal((m, p2)))
     Y = op.forward(rng.standard_normal((p1, p2)))
     proj = AffineProjector(op)
-    Z = proj.project(rng.standard_normal((p1, p2)), Y)
+    X0 = rng.standard_normal((p1, p2))
+    Z = proj.project(X0, Y)
     # rounding error grows with the conditioning of the two factors
     tol = 1e-11 * np.linalg.cond(op.A) * np.linalg.cond(op.B)
     assert np.linalg.norm(op.forward(Z) - Y) <= tol * max(1.0, np.linalg.norm(Y))
     assert np.abs(proj.project(Z, Y) - Z).max() <= tol * max(1.0, np.abs(Z).max())
+    # the two precomputed factors give the textbook formula
+    pinv_a = np.linalg.pinv(op.A @ op.A.T, rcond=1e-10, hermitian=True)
+    pinv_b = np.linalg.pinv(op.B @ op.B.T, rcond=1e-10, hermitian=True)
+    ref = X0 - op.A.T @ pinv_a @ (op.forward(X0) - Y) @ pinv_b @ op.B
+    assert np.abs(Z - ref).max() <= tol * max(1.0, np.abs(ref).max())
+    # dual_fit is the least-squares solution of A^T D B = W
+    W = rng.standard_normal((p1, p2))
+    D = proj.dual_fit(W)
+    ref_d = np.linalg.pinv(op.A.T, rcond=1e-10) @ W @ np.linalg.pinv(op.B, rcond=1e-10)
+    assert np.abs(D - ref_d).max() <= tol * max(1.0, np.abs(ref_d).max())
 
 
 def test_kernel_projection():
@@ -163,12 +183,7 @@ def test_p1_max_iter_bounds_admm_before_the_lp():
 
 def trial_instance(p, m, seed, delta=None):
     """The operator and sketch that run_trial builds for this seed."""
-    cfg = TrialConfig(p=p, m=m, d=4, delta=delta, seed=seed)
-    g = gen_screened_graph(p, m, cfg.effective_delta, derive_seed(seed, "graph"))
-    op = SketchOperator.from_graphs(g)
-    sup = gen_distributed_support(p, 4, derive_seed(seed, "support"),
-                                  n_off=cfg.effective_off_cells)
-    X = gen_distributed_matrix(sup, cfg.value_spec, derive_seed(seed, "values"))
+    op, X = _planted_instance(TrialConfig(p=p, m=m, d=4, delta=delta, seed=seed), seed)
     return op, X, op.forward(X)
 
 
@@ -190,17 +205,6 @@ def test_p1_recoverable_instance_snaps_without_the_lp():
     assert np.abs(res.x - X).max() <= 1e-8
 
 
-def full_sparse_lp(op, Y):
-    """min 1^T (u + v) s.t. [K, -K] [u; v] = vec(Y), u, v >= 0, K = kron(B, A)."""
-    K = scipy.sparse.kron(scipy.sparse.csc_matrix(op.B), scipy.sparse.csc_matrix(op.A))
-    lp = scipy.optimize.linprog(
-        np.ones(2 * K.shape[1]), A_eq=scipy.sparse.hstack([K, -K]),
-        b_eq=Y.reshape(-1, order="F"), bounds=(0, None), method="highs",
-    )
-    assert lp.success
-    return lp.fun
-
-
 @pytest.mark.parametrize("p, m, t, optimum", [
     (60, 12, 2, 46.989243),
     (40, 16, 2, 40.070598),
@@ -213,6 +217,40 @@ def test_p1_converges_only_at_the_lp_optimum_below_the_boundary(p, m, t, optimum
     assert res.converged
     assert abs(res.objective - optimum) <= 1e-6
     assert res.feas_residual <= 1e-8
+
+
+# (p, m, delta, seed, iterations, support_snap, lp, objective), recorded
+# before the ADMM loop and the snap solves were last rewritten: any rewrite
+# must stop every one of these runs where and how it stopped then
+PINNED_STOPS = [
+    # recover-above pools: a certified snap at a checkpoint
+    (40, 21, 4, derive_seed(6544, "above", 40, 21, 0), 250, True, False, 40.425070615304385),
+    (40, 21, 4, derive_seed(6544, "above", 40, 21, 2), 750, True, False, 39.13135463348212),
+    (60, 32, None, derive_seed(6544, "above", 60, 32, 0), 250, True, False, 56.068038716082526),
+    (60, 32, None, derive_seed(6544, "above", 60, 32, 1), 250, True, False, 64.37514432991443),
+    (40, 21, 4, derive_seed(7, "c1", 0), 500, True, False, 40.79091016442355),
+    # recover-below's p=40 m=8 pool: the whole budget, then the LP
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 0), 5000, False, True, 16.924882035097518),
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 1), 5000, False, True, 23.670671772174124),
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 2), 5000, False, True, 22.03179546016011),
+    # the two trials that once stopped at an uncertified snap
+    (60, 12, None, derive_seed(7, "b", 60, 12, 2), 2250, True, False, 46.989242655189955),
+    (40, 16, None, derive_seed(7, "b", 40, 16, 2), 5000, False, True, 40.07059848407479),
+    # criterion 2's p=20 m=12 trials that end at ADMM's residual stop
+    (20, 12, None, derive_seed(derive_seed(7, "c2"), 20, 12, 2), 1151, False, False, 13.91353321567999),
+    (20, 12, None, derive_seed(derive_seed(7, "c2"), 20, 12, 8), 4514, False, False, 24.407533030014),
+]
+
+
+@pytest.mark.parametrize("p, m, delta, seed, iterations, snap, lp, objective", PINNED_STOPS,
+                         ids=[f"p{c[0]}-m{c[1]}-{k}" for k, c in enumerate(PINNED_STOPS)])
+def test_p1_stop_decisions_are_pinned(p, m, delta, seed, iterations, snap, lp, objective):
+    op, X, Y = trial_instance(p, m, seed, delta=delta)
+    res = solve_p1(op, Y)
+    assert res.iterations == iterations
+    assert res.diagnostics["support_snap"] == snap
+    assert ("lp" in res.diagnostics) == lp
+    assert abs(res.objective - objective) <= 1e-9 * objective
 
 
 @settings(max_examples=100, deadline=None)
