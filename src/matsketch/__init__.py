@@ -22,7 +22,7 @@ from .ensemble import (
     prop1_degree_bound,
     tensor_neighbors,
 )
-from .operator import SketchOperator, kron_materialize, unvec, vec
+from .operator import SketchOperator, unvec, vec
 from .solver import (
     AffineProjector,
     RecoveryResult,

@@ -17,6 +17,9 @@ ZERO_TOL = 1e-12
 #: minimum magnitude placed on a support cell by gen_distributed_matrix
 VALUE_FLOOR = 1e-3
 
+#: fresh draws gen_screened_graph makes before it keeps a colliding graph
+SCREEN_RESAMPLES = 60
+
 
 class ParameterError(ValueError):
     """Raised for out-of-range or degenerate parameter requests."""
@@ -112,19 +115,17 @@ def column_difference_collision(g: BipartiteGraph) -> bool:
     return False
 
 
-def gen_screened_graph(
-    p: int, m: int, delta: int, seed: int, max_resample: int = 60
-) -> BipartiteGraph:
+def gen_screened_graph(p: int, m: int, delta: int, seed: int) -> BipartiteGraph:
     """Left-regular graph resampled until it has no column-difference
     collision, for use in recovery experiments.
 
-    Falls back to the last draw after ``max_resample`` attempts; in the
+    Falls back to the last draw after SCREEN_RESAMPLES attempts; in the
     regime where no collision-free graph exists (tiny m) recovery fails
     for capacity reasons anyway.
     """
     rng = np.random.default_rng(seed)
     g = gen_left_regular(p, m, delta, seed)
-    for _ in range(max_resample):
+    for _ in range(SCREEN_RESAMPLES):
         if not column_difference_collision(g):
             return g
         g = gen_left_regular(p, m, delta, int(rng.integers(1 << 62)))

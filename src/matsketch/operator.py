@@ -1,7 +1,7 @@
-"""The sketch linear operator Y = A X B^T, its adjoint and Kronecker form.
+"""The sketch linear operator Y = A X B^T and its adjoint.
 
-vec() is column-stacking, so the materialized Kronecker matrix kron(B, A)
-satisfies kron(B, A) @ vec(X) = vec(A X B^T).
+vec() is column-stacking, so the Kronecker matrix kron(B, A) satisfies
+kron(B, A) @ vec(X) = vec(A X B^T).
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import BipartiteGraph, ParameterError
-
-#: refuse to materialize the m^2 x p^2 Kronecker matrix above this p
-KRON_CAP = 64
 
 
 def vec(X: np.ndarray) -> np.ndarray:
@@ -81,9 +78,3 @@ class SketchOperator:
             raise ParameterError(f"M shape {M.shape} != ({self.m}, {self.m})")
         return (self.A.T @ M) @ self.B
 
-
-def kron_materialize(op: SketchOperator, cap: int = KRON_CAP) -> np.ndarray:
-    """The explicit m^2 x p^2 matrix kron(B, A); small instances only."""
-    if max(op.p1, op.p2) > cap:
-        raise ParameterError(f"p={max(op.p1, op.p2)} exceeds materialization cap {cap}")
-    return np.kron(op.B, op.A)

@@ -5,8 +5,7 @@ solve_p2    min ||A X B^T - Y||_2^2 + lam*||X||_1   (monotone FISTA)
 solve_constrained
             min ||X||_1  s.t.  ||A X B^T - Y||_2 <= kappa
                                   (descent over lam in P2, then bisection)
-lp_oracle   exact LP solution on small instances, used to validate the
-            iterative path.
+lp_oracle   exact LP solution, used to validate the iterative path.
 
 solve_p1 runs ADMM until a support snap that ADMM's own dual certifies as
 an l1 minimizer, for at most min(max_iter, ADMM_BUDGET) iterations. An
@@ -105,19 +104,23 @@ class AffineProjector:
 
     def __init__(self, op: SketchOperator):
         self.op = op
-        pinv_a = self._sym_pinv(op.A @ op.A.T)
-        pinv_b = pinv_a if op.shared_ab else self._sym_pinv(op.B @ op.B.T)
+        pinv_a, rank_a = self._sym_pinv(op.A @ op.A.T)
+        pinv_b, rank_b = (pinv_a, rank_a) if op.shared_ab else self._sym_pinv(op.B @ op.B.T)
         self._left = op.A.T @ pinv_a
         self._right = pinv_b @ op.B
+        # the forward map's nullity; kron(B, A) has rank rank(A) rank(B)
+        self.kernel_dim = op.p1 * op.p2 - rank_a * rank_b
 
     @staticmethod
-    def _sym_pinv(G: np.ndarray) -> np.ndarray:
+    def _sym_pinv(G: np.ndarray) -> tuple[np.ndarray, int]:
+        """pinv(G) of a symmetric PSD G, and the rank its eigenvalue cut counts."""
         w, V = scipy.linalg.eigh(G)
         # rank-deficient Gram matrices (duplicate graph columns) put their
         # zero eigenvalues at ~eps * w.max; cut well above that floor
         cut = max(w.max(initial=0.0), 0.0) * 1e-10
-        inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-        return (V * inv) @ V.T
+        keep = w > cut
+        inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        return (V * inv) @ V.T, int(np.count_nonzero(keep))
 
     def project(self, X0: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return X0 - (self._left @ (self.op.forward(X0) - Y)) @ self._right
@@ -250,7 +253,6 @@ def solve_p1(
     op: SketchOperator,
     Y: np.ndarray,
     opts: SolverOptions = SolverOptions(),
-    projector: AffineProjector | None = None,
 ) -> RecoveryResult:
     """Equality-constrained l1 minimization by ADMM.
 
@@ -272,7 +274,7 @@ def solve_p1(
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (op.m, op.m):
         raise ParameterError(f"Y shape {Y.shape} != ({op.m}, {op.m})")
-    proj = projector if projector is not None else AffineProjector(op)
+    proj = AffineProjector(op)
     shape = (op.p1, op.p2)
     alpha = 1.6
     refine_every = 250
@@ -323,19 +325,15 @@ def solve_p1(
     )
 
 
-def _operator_sq_norm(op: SketchOperator, n_iter: int = 30, seed: int = 0) -> float:
-    """Power-iteration upper estimate of the squared operator norm."""
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((op.p1, op.p2))
-    V /= np.linalg.norm(V)
-    lam = 1.0
-    for _ in range(n_iter):
-        W = op.adjoint(op.forward(V))
-        lam = float(np.linalg.norm(W))
-        if lam == 0.0:
-            return 1.0
-        V = W / lam
-    return 1.05 * lam  # small safety margin on the Rayleigh estimate
+def _operator_sq_norm(op: SketchOperator) -> float:
+    """The squared operator norm of X -> A X B^T, ||A||_2^2 ||B||_2^2: the
+    singular values of kron(B, A) are the products sigma_i(A) sigma_j(B).
+    Each factor is the largest eigenvalue of an m x m Gram matrix. A zero
+    operator gives 1.0, a harmless step for FISTA."""
+    sq_a = float(np.linalg.eigvalsh(op.A @ op.A.T)[-1])
+    sq_b = sq_a if op.shared_ab else float(np.linalg.eigvalsh(op.B @ op.B.T)[-1])
+    sq_norm = sq_a * sq_b
+    return sq_norm if sq_norm > 0.0 else 1.0
 
 
 def solve_p2(
@@ -344,22 +342,20 @@ def solve_p2(
     lam: float,
     opts: SolverOptions = SolverOptions(),
     x0: np.ndarray | None = None,
-    sq_norm: float | None = None,
 ) -> RecoveryResult:
     """Penalized recovery by accelerated proximal gradient.
 
-    Step size is 1/L with L bounding the gradient Lipschitz constant
-    (2x the squared operator norm, estimated by power iteration); the
-    objective is kept monotone by falling back to a plain proximal step
-    with backtracking whenever the accelerated candidate increases it.
+    The step is 1/L with L = 2 ||A||_2^2 ||B||_2^2, the exact Lipschitz
+    constant of the smooth part's gradient (Beck & Teboulle 2009). When the
+    accelerated candidate raises the objective, one plain proximal step
+    from the last accepted iterate replaces it and the momentum restarts;
+    by the descent lemma that step does not raise the objective, and the
+    iterate is kept only if rounding makes it do so.
     """
     Y = np.asarray(Y, dtype=float)
     if lam <= 0:
         raise ParameterError("lam must be positive")
-    if sq_norm is None:
-        sq_norm = _operator_sq_norm(op)
-    L = 2.0 * sq_norm
-    step = 1.0 / L
+    step = 1.0 / (2.0 * _operator_sq_norm(op))
 
     def smooth(X):
         R = op.forward(X) - Y
@@ -377,17 +373,11 @@ def solve_p2(
         X_new = soft_threshold(V - step * G, lam * step)
         F_new = objective(X_new)
         if F_new > F:
-            # momentum overshoot: restart from the last accepted iterate
-            local_step = step
+            # momentum overshoot: restart with a proximal step from X
             G = 2.0 * op.adjoint(op.forward(X) - Y)
-            for _ in range(50):
-                X_new = soft_threshold(X - local_step * G, lam * local_step)
-                F_new = objective(X_new)
-                if F_new <= F:
-                    break
-                local_step /= 2.0
-            else:
-                # every halving failed: keep the last accepted iterate
+            X_new = soft_threshold(X - step * G, lam * step)
+            F_new = objective(X_new)
+            if F_new > F:
                 X_new, F_new = X, F
             t = 1.0
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -447,10 +437,8 @@ def solve_constrained(
             diagnostics={"kappa": kappa, "lam": None, "constraint_residual": y_norm},
         )
 
-    sq_norm = _operator_sq_norm(op)
-
     def residual_at(lam, x0):
-        res = solve_p2(op, Y, lam, opts, x0=x0, sq_norm=sq_norm)
+        res = solve_p2(op, Y, lam, opts, x0=x0)
         return res, float(np.linalg.norm(op.forward(res.x) - Y))
 
     lam_floor = lam_hi * 1e-8
@@ -485,18 +473,11 @@ def solve_constrained(
     return best
 
 
-def lp_oracle(
-    op: SketchOperator, Y: np.ndarray, p_cap: int = 10, m_cap: int = 8
-) -> RecoveryResult:
+def lp_oracle(op: SketchOperator, Y: np.ndarray) -> RecoveryResult:
     """Exact solution of the LP reformulation of the equality program:
     the working-set LP of solve_p1 with every column of kron(B, A) in the
-    set. Kept to small instances; used as the optimality oracle for
-    solve_p1.
+    set, used as the optimality oracle for solve_p1.
     """
-    if max(op.p1, op.p2) > p_cap or op.m > m_cap:
-        raise ParameterError(
-            f"lp_oracle guard: p <= {p_cap} and m <= {m_cap} required"
-        )
     Y = np.asarray(Y, dtype=float)
     shape = (op.p1, op.p2)
     X, info = _working_set_lp(op, Y, np.zeros(shape), np.ones(shape, dtype=bool))

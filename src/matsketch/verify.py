@@ -12,10 +12,11 @@ import numpy as np
 import scipy.linalg
 
 from .ensemble import ParameterError, Support, TensorGraph, arrow_matrix
-from .operator import SketchOperator, kron_materialize, vec
+from .operator import SketchOperator
 from .solver import AffineProjector
 
-#: the quadratic collision loops need an explicit override above this p
+#: largest p check_expansion accepts; the cap bounds its two p x p int64
+#: collision-count arrays and the dense products that fill them
 EXPANSION_COST_CAP = 300
 
 
@@ -52,7 +53,6 @@ def check_expansion(
     tg: TensorGraph,
     support: Support,
     eps: float = 0.25,
-    allow_large: bool = False,
 ) -> ExpansionReport:
     """Exact computation of the three tensor-expansion quantities.
 
@@ -64,10 +64,8 @@ def check_expansion(
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must lie in (0, 1)")
     p, m = tg.p, tg.m
-    if p > EXPANSION_COST_CAP and not allow_large:
-        raise ParameterError(
-            f"p={p} exceeds cost cap {EXPANSION_COST_CAP}; pass allow_large=True"
-        )
+    if p > EXPANSION_COST_CAP:
+        raise ParameterError(f"p={p} exceeds cost cap {EXPANSION_COST_CAP}")
     if support.p != p:
         raise ParameterError("support dimension does not match graph")
 
@@ -134,47 +132,34 @@ def check_nullspace(
     support: Support,
     n_samples: int,
     seed: int,
-    dense_cap: int = 10,
     residual_tol: float = 1e-8,
 ) -> float:
     """Max over sampled kernel elements V of ||V_Omega||_1 / ||V_Omega^c||_1.
 
-    Small instances (p <= dense_cap) draw random combinations of an exact
-    dense kernel basis; larger ones project Gaussian matrices onto the
-    kernel through the normal-equation pseudoinverse.  Ratios below 1 are
-    what the smooth-nullspace bound eps/(1-3*eps) < 1 predicts.
+    Gaussian matrices projected onto the kernel of the forward map are
+    isotropic Gaussian samples of that kernel. A trivial kernel (rank(A)
+    rank(B) = p1 p2) gives 0.0, since its projections are rounding noise.
+    Ratios below 1 are what the smooth-nullspace bound eps/(1-3*eps) < 1
+    predicts.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     if not support.cells:
         return 0.0
-    p = op.p1
+    proj = AffineProjector(op)
+    if proj.kernel_dim == 0:
+        return 0.0
     rng = np.random.default_rng(seed)
     mask = support.indicator()
 
-    samples = []
-    if p <= dense_cap:
-        K = kron_materialize(op)
-        basis = scipy.linalg.null_space(K)  # p^2 x k
-        if basis.shape[1] == 0:
-            return 0.0
-        for _ in range(n_samples):
-            v = basis @ rng.standard_normal(basis.shape[1])
-            samples.append(v.reshape(p, p, order="F"))
-    else:
-        proj = AffineProjector(op)
-        for _ in range(n_samples):
-            V = rng.standard_normal((p, op.p2))
-            Vk = proj.kernel_project(V)
-            res = np.linalg.norm(op.forward(Vk)) / max(1.0, np.linalg.norm(Vk))
-            if res > residual_tol:
-                raise RuntimeError(
-                    f"kernel projection residual {res:.2e} > {residual_tol:.2e}"
-                )
-            samples.append(Vk)
-
     max_ratio = 0.0
-    for V in samples:
+    for _ in range(n_samples):
+        V = proj.kernel_project(rng.standard_normal((op.p1, op.p2)))
+        res = np.linalg.norm(op.forward(V)) / max(1.0, np.linalg.norm(V))
+        if res > residual_tol:
+            raise RuntimeError(
+                f"kernel projection residual {res:.2e} > {residual_tol:.2e}"
+            )
         on = float(np.abs(V[mask]).sum())
         off = float(np.abs(V[~mask]).sum())
         if off == 0.0:

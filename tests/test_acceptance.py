@@ -220,7 +220,7 @@ def test_criterion_6_nullspace_property():
         ratio = check_nullspace(op, sup, 20, derive_seed(seed, "k"))
         below += ratio < 1.0
 
-    # dense-kernel check on small instances where recovery succeeds
+    # kernel check on small instances where recovery succeeds
     dense_ok = True
     checked = 0
     for t in range(20):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matsketch.ensemble import ParameterError, gen_left_regular
-from matsketch.operator import SketchOperator, kron_materialize, unvec, vec
+from matsketch.operator import SketchOperator, unvec, vec
 
 FIXTURE_A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0]])
 
@@ -117,17 +117,17 @@ def test_vec_index_identity():
             assert x[j * p + i] == X[i, j]
 
 
-# --- Kronecker materialization ----------------------------------------------
+# --- Kronecker form ---------------------------------------------------------
 
 
 def test_kron_scalar_case():
     op = SketchOperator(A=np.array([[3.0]]), B=np.array([[2.0]]), shared_ab=False)
-    assert np.array_equal(kron_materialize(op), np.array([[6.0]]))
+    assert np.array_equal(np.kron(op.B, op.A), np.array([[6.0]]))
 
 
 def test_kron_block_form_fixture():
     op = fixture_op()
-    K = kron_materialize(op)
+    K = np.kron(op.B, op.A)
     assert K.shape == (4, 9)
     blocks = [
         [FIXTURE_A[0, 0] * FIXTURE_A, FIXTURE_A[0, 1] * FIXTURE_A, FIXTURE_A[0, 2] * FIXTURE_A],
@@ -139,14 +139,8 @@ def test_kron_block_form_fixture():
 def test_kron_column_sums_are_delta_squared():
     g = gen_left_regular(5, 4, 3, 17)
     op = SketchOperator.from_graphs(g)
-    K = kron_materialize(op)
+    K = np.kron(op.B, op.A)
     assert np.array_equal(K.sum(axis=0), np.full(25, 9.0))
-
-
-def test_kron_cap_guard():
-    g = gen_left_regular(65, 4, 2, 0)
-    with pytest.raises(ParameterError):
-        kron_materialize(SketchOperator.from_graphs(g))
 
 
 def test_materialized_matches_implicit_path():
@@ -157,7 +151,7 @@ def test_materialized_matches_implicit_path():
         g1 = gen_left_regular(p, m, 2, int(rng.integers(1 << 31)))
         g2 = gen_left_regular(p, m, 3, int(rng.integers(1 << 31)))
         op = SketchOperator.from_graphs(g1, g2)
-        K = kron_materialize(op)
+        K = np.kron(op.B, op.A)
         X = rng.standard_normal((p, p))
         assert np.abs(K @ vec(X) - vec(op.forward(X))).max() < 1e-12
 

@@ -140,6 +140,20 @@ def test_nullspace_sampled_path_matches_kernel():
     assert np.isfinite(ratio) and ratio >= 0.0
 
 
+def test_nullspace_of_a_trivial_kernel_is_zero():
+    # m = 16 > p = 12: A has full column rank on seeds 1..5, so the forward
+    # map is injective and no kernel element exists to put mass on Omega
+    sup = gen_distributed_support(12, 2, 0)
+    for s in range(1, 6):
+        op = SketchOperator.from_graphs(gen_left_regular(12, 16, 3, s))
+        assert np.linalg.matrix_rank(op.A) == 12
+        assert check_nullspace(op, sup, 20, 0) == 0.0
+    # seed 0 draws an A of rank 11: a nontrivial kernel, which is sampled
+    op = SketchOperator.from_graphs(gen_left_regular(12, 16, 3, 0))
+    assert np.linalg.matrix_rank(op.A) == 11
+    assert round(check_nullspace(op, sup, 20, 0), 4) == 0.2372
+
+
 def test_nullspace_validation():
     g = gen_left_regular(5, 3, 2, 2)
     op = SketchOperator.from_graphs(g)
