@@ -6,6 +6,8 @@ partial and parallel re-runs.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -13,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy
 
 from .ensemble import (
     ParameterError,
@@ -174,6 +177,32 @@ def _cell_successes(args) -> tuple:
     return p, m, wins
 
 
+def _vendored_openblas():
+    """(library, symbol suffix) for each OpenBLAS copy that the numpy and
+    scipy wheels vendor and that is present: numpy's exports its symbols
+    with the suffix 64_, scipy's (which LAPACK calls such as gelsy use)
+    without one."""
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            yield ctypes.CDLL(path), suffix
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread in each vendored OpenBLAS, so that the
+    workers do not oversubscribe the cores between them. The parent keeps
+    its own thread count."""
+    for lib, suffix in _vendored_openblas():
+        setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+        if setter is not None:
+            setter(1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def worker_count(threads: int | None = None) -> int:
     """threads, else SKETCH_THREADS, else the CPU count; a count that is
     not an integer of at least 1 raises ParameterError."""
@@ -202,9 +231,9 @@ def phase_diagram(
 ) -> PhaseGrid:
     """Per-cell recovery success fraction over seeded trials.
 
-    Cells are independent and run on a process pool; results do not depend
-    on the worker count because every trial seed is derived from
-    (master_seed, p, m, trial index).
+    Cells are independent and run on a process pool whose workers each run
+    one BLAS thread; results do not depend on the worker count because
+    every trial seed is derived from (master_seed, p, m, trial index).
     """
     p_values = list(p_values)
     m_values = list(m_values)
@@ -222,7 +251,7 @@ def phase_diagram(
     if workers == 1:
         results = map(_cell_successes, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             results = list(pool.map(_cell_successes, jobs, chunksize=4))
     for p, m, wins in results:
         rate[p_values.index(p), m_values.index(m)] = wins / trials

@@ -9,8 +9,9 @@ lp_oracle   exact LP solution, used to validate the iterative path.
 
 solve_p1 runs ADMM until a support snap that ADMM's own dual certifies as
 an l1 minimizer, for at most min(max_iter, ADMM_BUDGET) iterations. An
-instance still undecided then goes to an exact working-set LP. lp_oracle
-is that same LP with every column in the set from the start.
+instance still undecided then, or whose iterate at a snap checkpoint has
+more nonzeros than any snap can certify, goes to an exact working-set LP.
+lp_oracle is that same LP with every column in the set from the start.
 
 solve_constrained follows the penalty path of solve_p2 down from
 lam_hi = 2 max|A^T Y B|, where X = 0, by a factor LAM_STEP per
@@ -34,7 +35,8 @@ from .operator import SketchOperator, vec, unvec
 
 #: ADMM iterations before an instance without a certified snap goes to the
 #: exact LP; recoverable instances certify by iteration 250-750 (the slowest
-#: seen: 4750)
+#: seen: 4750). It binds only runs whose iterates keep at most m^2 nonzeros:
+#: a larger iterate goes to the LP at its first snap checkpoint
 ADMM_BUDGET = 5000
 
 #: factor by which solve_constrained lowers the penalty from lam_hi until
@@ -265,11 +267,18 @@ def solve_p1(
     finishing the tail of the linear convergence in one step, and sets
     ``diagnostics["support_snap"]``; ADMM runs on past an uncertified one.
 
+    A basic solution of the LP form has at most m^2 nonzeros, one per
+    sketch equation, and the snap refuses any larger support. So a
+    checkpoint other than the residual stop ends ADMM when its iterate
+    holds more than m^2 nonzeros; below the phase boundary that is the
+    usual case from the first checkpoint on.
+
     ADMM runs at most min(opts.max_iter, ADMM_BUDGET) iterations. A run
-    that neither certifies a snap nor meets ADMM's residual stop by then
-    goes to the exact working-set LP, seeded with the m^2 largest entries
-    of the projected iterate and the cells whose scaled dual is at least
-    0.99 in magnitude; ``diagnostics["lp"]`` then reports its rounds.
+    that neither certifies a snap nor meets ADMM's residual stop by then,
+    or that ends at such a checkpoint, goes to the exact working-set LP,
+    seeded with the m^2 largest entries of the projected iterate and the
+    cells whose scaled dual is at least 0.99 in magnitude;
+    ``diagnostics["lp"]`` then reports its rounds.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (op.m, op.m):
@@ -296,6 +305,8 @@ def solve_p1(
         tol = opts.tol_obj * max(1.0, _norm(Z))
         stop = r_norm <= tol and s_norm <= tol
         if stop or iterations % refine_every == 0:
+            if not stop and np.count_nonzero(Z) > Y.size:
+                break  # more nonzeros than any basic solution: no snap can certify
             refined = _refine_on_support(op, Y, Z, rho * U, proj)
             if stop or refined is not None:
                 break
@@ -309,7 +320,7 @@ def solve_p1(
     diagnostics = {"rho_final": rho, "support_snap": refined is not None}
     X_star = refined if refined is not None else proj.project(Z, Y)
     if refined is None and not stop:
-        # ADMM ran out of iterations undecided: the exact LP decides
+        # ADMM ran out of iterations, or its iterate outgrew m^2: the exact LP decides
         score = np.abs(X_star)
         seed = np.abs(rho * U) >= 0.99
         seed.flat[np.argsort(-score, axis=None, kind="stable")[: op.m * op.m]] = True

