@@ -17,10 +17,7 @@ from .ensemble import (
     gen_distributed_support,
     gen_left_regular,
     gen_screened_graph,
-    neighbors,
-    project_support,
     prop1_degree_bound,
-    tensor_neighbors,
 )
 from .operator import SketchOperator, unvec, vec
 from .solver import (

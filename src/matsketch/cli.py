@@ -12,8 +12,8 @@ Exit codes, each failure with a one-line ``error:`` message on stderr:
     3  file error (OSError: a missing or unreadable input, an unwritable --out)
     4  bad configuration (--config or --pipeline-config is not valid JSON,
        --config names a field SolverOptions does not have, or the pipeline
-       JSON lacks a key, gives p, d, n or m as anything but a positive
-       integer, or names an unknown mode)
+       JSON lacks one of p, d, n, m, has a key outside PIPELINE_KEYS, or
+       gives a key a value its entry there rejects)
     5  solver failure (RuntimeError, e.g. the LP behind solve_p1 failed)
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -91,6 +92,24 @@ FLAGS = {
 
 class ConfigError(Exception):
     """A configuration file that does not describe valid options."""
+
+
+def _number(v) -> bool:
+    """A JSON integer or finite float; true and false are not numbers."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+#: every key the pipeline JSON may hold: the test its value must pass, and
+#: what that test asks for
+PIPELINE_KEYS = {
+    **{key: (lambda v: type(v) is int and v >= 1, "a positive integer")
+       for key in ("p", "d", "n", "m", "delta")},
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "mode": (lambda v: v in ("constrained", "exact"), '"constrained" or "exact"'),
+    "kappa": (lambda v: _number(v) and v >= 0, "a non-negative number"),
+    "kappa_grid": (lambda v: type(v) is list and all(_number(k) and k > 0 for k in v),
+                   "a list of positive numbers"),
+}
 
 
 def _opts(args) -> SolverOptions:
@@ -222,18 +241,19 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_cov_sketch(args) -> int:
-    with open(args.pipeline_config) as fh:
+    path = args.pipeline_config
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict) or not {"p", "d", "n", "m"} <= cfg.keys():
-        raise ConfigError(f"{args.pipeline_config}: needs an object with keys p, d, n, m")
+        raise ConfigError(f"{path}: needs an object with keys p, d, n, m")
+    for key, value in cfg.items():
+        if key not in PIPELINE_KEYS:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        valid, want = PIPELINE_KEYS[key]
+        if not valid(value):
+            raise ConfigError(f"{path}: {key} must be {want}, not {value!r}")
     p, d, n, m = cfg["p"], cfg["d"], cfg["n"], cfg["m"]
-    for key, value in zip("pdnm", (p, d, n, m)):
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{args.pipeline_config}: {key} must be a positive integer, "
-                              f"not {value!r}")
     mode = cfg.get("mode", "constrained")
-    if mode not in ("constrained", "exact"):
-        raise ConfigError(f"{args.pipeline_config}: unknown mode {mode!r}")
     delta = cfg.get("delta") or ensemble.default_delta(p)
     seed = cfg.get("seed", 0)
     sigma = pipelines.gen_distributed_covariance(p, d, derive_seed(seed, "sigma"))

@@ -132,24 +132,12 @@ def gen_screened_graph(p: int, m: int, delta: int, seed: int) -> BipartiteGraph:
     return g
 
 
-def neighbors(g: BipartiteGraph, s) -> set:
-    """N(s): the deduplicated right-vertex neighborhood of a left-vertex set."""
-    s = list(s)
-    for i in s:
-        if not 0 <= i < g.p:
-            raise ParameterError(f"left vertex {i} outside [0, {g.p})")
-    if not s:
-        return set()
-    return set(g.edges[s].reshape(-1).tolist())
-
-
 @dataclass(frozen=True)
 class TensorGraph:
     """The tensor product of two bipartite graphs.
 
     Left vertices are pairs (i, i'), right vertices pairs (j, j');
     {(i,i'),(j,j')} is an edge iff {i,j} in E1 and {i',j'} in E2.
-    Neighborhoods are always computed on demand from g1 and g2.
     """
 
     g1: BipartiteGraph
@@ -203,17 +191,6 @@ class Support:
         for i, j in self.cells:
             mask[i, j] = True
         return mask
-
-
-def tensor_neighbors(tg: TensorGraph, support: Support) -> set:
-    """N(Omega) in the tensor graph, as a set of (j, j') pairs."""
-    if support.p != tg.p:
-        raise ParameterError("support dimension does not match tensor graph")
-    hit = np.zeros((tg.m, tg.m), dtype=bool)
-    for i, i2 in support.cells:
-        hit[np.ix_(np.unique(tg.g1.edges[i]), np.unique(tg.g2.edges[i2]))] = True
-    js, j2s = np.nonzero(hit)
-    return set(zip(js.tolist(), j2s.tolist()))
 
 
 def _rejection_support(
@@ -326,13 +303,6 @@ def degree_of_sparsity(X: np.ndarray, tol: float = ZERO_TOL) -> int:
     return int(max(nz.sum(axis=0).max(), nz.sum(axis=1).max()))
 
 
-def project_support(X: np.ndarray, support: Support) -> np.ndarray:
-    """Copy of X with entries outside the support zeroed."""
-    if X.shape != (support.p, support.p):
-        raise ParameterError("matrix and support dimensions disagree")
-    return np.where(support.indicator(), X, 0.0)
-
-
 def arrow_matrix(p: int) -> np.ndarray:
     """Dense first row, first column and diagonal; the canonical
     non-distributed sparsity pattern (degree of sparsity p)."""
@@ -361,23 +331,6 @@ def load_graph(path) -> BipartiteGraph:
             dtype=np.int64,
         )
     return BipartiteGraph(p=p, m=m, delta=delta, edges=edges)
-
-
-def save_support(support: Support, path) -> None:
-    """One ``row col`` pair per line (1-based)."""
-    with open(path, "w") as fh:
-        for i, j in sorted(support.cells):
-            fh.write(f"{i + 1} {j + 1}\n")
-
-
-def load_support(path, p: int) -> Support:
-    cells = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                i, j = (int(t) - 1 for t in line.split())
-                cells.append((i, j))
-    return Support.from_cells(p, cells)
 
 
 def save_matrix_csv(X: np.ndarray, path) -> None:

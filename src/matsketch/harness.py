@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 import scipy
@@ -161,17 +161,10 @@ class PhaseGrid:
 
 
 def _cell_successes(args) -> tuple:
-    p, m, d, delta, trials, master_seed, threshold = args
+    p, m, d, delta, trials, master_seed = args
     wins = 0
     for t in range(trials):
-        cfg = TrialConfig(
-            p=p,
-            m=m,
-            d=d,
-            delta=delta,
-            seed=derive_seed(master_seed, p, m, t),
-            success_threshold=threshold,
-        )
+        cfg = TrialConfig(p=p, m=m, d=d, delta=delta, seed=derive_seed(master_seed, p, m, t))
         if run_trial(cfg).success:
             wins += 1
     return p, m, wins
@@ -227,7 +220,6 @@ def phase_diagram(
     master_seed: int,
     delta: int | None = None,
     threads: int | None = None,
-    success_threshold: float = 1e-4,
 ) -> PhaseGrid:
     """Per-cell recovery success fraction over seeded trials.
 
@@ -241,11 +233,7 @@ def phase_diagram(
         raise ParameterError("value lists must be ascending")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    jobs = [
-        (p, m, d, delta, trials, master_seed, success_threshold)
-        for p in p_values
-        for m in m_values
-    ]
+    jobs = [(p, m, d, delta, trials, master_seed) for p in p_values for m in m_values]
     rate = np.zeros((len(p_values), len(m_values)))
     workers = worker_count(threads)
     if workers == 1:
@@ -273,9 +261,10 @@ def reduced_grid() -> tuple:
     return list(range(10, 61, 10)), list(range(2, 61, 10))
 
 
-def render_phase_svg(grid: PhaseGrid, cell: int = 10) -> str:
-    """Deterministic rect-per-cell heatmap with the reference curve
-    p = m^2/14 overlaid in red. White cells are all-success."""
+def render_phase_svg(grid: PhaseGrid) -> str:
+    """Deterministic heatmap of 10-pixel squares, one per cell, with the
+    reference curve p = m^2/14 overlaid in red. White cells are all-success."""
+    cell = 10
     ms = grid.m_values
     ps = grid.p_values
     width = len(ms) * cell

@@ -37,6 +37,8 @@ class SketchOperator:
     def __post_init__(self):
         if self.A.ndim != 2 or self.B.ndim != 2 or self.A.shape[0] != self.B.shape[0]:
             raise ParameterError("A and B must be 2-d with equal row counts")
+        if self.shared_ab and not np.array_equal(self.A, self.B):
+            raise ParameterError("shared_ab is set but B differs from A")
         self.A.setflags(write=False)
         self.B.setflags(write=False)
 

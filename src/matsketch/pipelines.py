@@ -86,13 +86,6 @@ class SampleStream:
         for _ in range(self.n):
             yield self._factor @ rng.standard_normal(self.p)
 
-    def empirical_covariance(self) -> np.ndarray:
-        """Two-pass reference: the unsketched sample covariance."""
-        acc = np.zeros((self.p, self.p))
-        for xi in self.samples():
-            acc += np.outer(xi, xi)
-        return acc / self.n
-
 
 def cov_sketch(stream: SampleStream, A: np.ndarray) -> np.ndarray:
     """Sketch-domain empirical covariance (1/n) sum of (A xi)(A xi)^T,
@@ -111,17 +104,17 @@ def recover_covariance(
     mode: str = "exact",
     kappa: float = 0.0,
     opts: SolverOptions = SolverOptions(),
-    symmetry_tol: float = 1e-8,
 ) -> RecoveryResult:
     """Recover a distributed-sparse covariance from its sketch A Sigma A^T.
 
     mode "exact" solves the equality program; "constrained" relaxes the
     constraint to an l2 ball of radius kappa around the observed sketch.
+    A sketch whose relative asymmetry exceeds 1e-8 raises ParameterError.
     """
     sigma_z = np.asarray(sigma_z, dtype=float)
     asym = np.linalg.norm(sigma_z - sigma_z.T) / max(1.0, np.linalg.norm(sigma_z))
-    if asym > symmetry_tol:
-        raise ParameterError(f"sketch asymmetry {asym:.2e} exceeds {symmetry_tol:.0e}")
+    if asym > 1e-8:
+        raise ParameterError(f"sketch asymmetry {asym:.2e} exceeds 1e-8")
     sigma_z = 0.5 * (sigma_z + sigma_z.T)
     op = SketchOperator(A=np.array(A, dtype=float), B=np.array(A, dtype=float), shared_ab=True)
     if mode == "exact":
@@ -147,12 +140,11 @@ def cross_cov_recover(
 def select_kappa_cv(
     A: np.ndarray,
     stream: SampleStream,
-    n_folds: int = 5,
     grid: np.ndarray | None = None,
     opts: SolverOptions = SolverOptions(),
     seed: int = 0,
 ) -> float:
-    """Pick the constraint radius by k-fold cross-validation.
+    """Pick the constraint radius by 5-fold cross-validation.
 
     Candidates default to {2^-8, ..., 2^4} * ||sketch||_2; each fold
     recovers from the training-half sketch covariance and scores the
@@ -160,14 +152,14 @@ def select_kappa_cv(
     """
     samples = [np.asarray(A) @ xi for xi in stream.samples()]
     n = len(samples)
-    if n < n_folds:
+    if n < 5:
         raise ParameterError("need at least one sample per fold")
     full = sum(np.outer(z, z) for z in samples) / n
     if grid is None:
         grid = np.linalg.norm(full) * (2.0 ** np.arange(-8, 5, dtype=float))
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    folds = np.array_split(order, n_folds)
+    folds = np.array_split(order, 5)
 
     scores = np.zeros(len(grid))
     for fold in folds:

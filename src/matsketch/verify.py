@@ -5,8 +5,7 @@ the nullspace property, and the arrow-matrix non-identifiability witness.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,18 +34,12 @@ class ExpansionReport:
     def passed_all(self) -> bool:
         return self.passed_size and self.passed_outside and self.passed_inside
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 @dataclass
 class RipReport:
     ratio: float  # ||A X A^T||_1 / (delta^2 ||X||_1)
     lower_ok: bool  # ratio >= 1 - 2*eps
     upper_ok: bool  # ratio <= 1 + 1e-12; deterministic, must always hold
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def check_expansion(
@@ -132,7 +125,6 @@ def check_nullspace(
     support: Support,
     n_samples: int,
     seed: int,
-    residual_tol: float = 1e-8,
 ) -> float:
     """Max over sampled kernel elements V of ||V_Omega||_1 / ||V_Omega^c||_1.
 
@@ -156,10 +148,8 @@ def check_nullspace(
     for _ in range(n_samples):
         V = proj.kernel_project(rng.standard_normal((op.p1, op.p2)))
         res = np.linalg.norm(op.forward(V)) / max(1.0, np.linalg.norm(V))
-        if res > residual_tol:
-            raise RuntimeError(
-                f"kernel projection residual {res:.2e} > {residual_tol:.2e}"
-            )
+        if res > 1e-8:
+            raise RuntimeError(f"kernel projection residual {res:.2e} > 1e-8")
         on = float(np.abs(V[mask]).sum())
         off = float(np.abs(V[~mask]).sum())
         if off == 0.0:
@@ -170,12 +160,12 @@ def check_nullspace(
     return max_ratio
 
 
-def arrow_ambiguity_witness(op: SketchOperator, residual_tol: float = 1e-10):
+def arrow_ambiguity_witness(op: SketchOperator):
     """Two distinct matrices with identical sketches: the arrow matrix X and
     X with a kernel vector of A added to its first column.
 
     Fails (raises) when A has a trivial kernel, e.g. the square invertible
-    case, or when the kernel extraction is not accurate to residual_tol.
+    case, or when the kernel extraction is not accurate to 1e-10.
     """
     basis = scipy.linalg.null_space(op.A)
     if basis.shape[1] == 0:
@@ -183,12 +173,12 @@ def arrow_ambiguity_witness(op: SketchOperator, residual_tol: float = 1e-10):
     v = basis[:, 0]
     v = v / np.abs(v).sum()  # unit l1 mass, well above any zero tolerance
     res = float(np.linalg.norm(op.A @ v))
-    if res > residual_tol:
-        raise RuntimeError(f"kernel extraction residual {res:.2e} > {residual_tol:.2e}")
+    if res > 1e-10:
+        raise RuntimeError(f"kernel extraction residual {res:.2e} > 1e-10")
     X = arrow_matrix(op.p1)
     X_alt = X.copy()
     X_alt[:, 0] += v
     sketch_gap = float(np.linalg.norm(op.forward(X) - op.forward(X_alt)))
-    if sketch_gap > residual_tol * max(1.0, np.linalg.norm(op.forward(X))):
+    if sketch_gap > 1e-10 * max(1.0, np.linalg.norm(op.forward(X))):
         raise RuntimeError(f"witness sketches differ by {sketch_gap:.2e}")
     return X, X_alt

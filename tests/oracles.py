@@ -1,6 +1,6 @@
 """Independent oracles that the tests compare the library paths against:
-exhaustive set arithmetic (small p only) and the equality program as one
-sparse LP over every column."""
+exhaustive set arithmetic (small p only), the unsketched sample covariance,
+and the equality program as one sparse LP over every column."""
 
 import numpy as np
 import scipy.optimize
@@ -60,6 +60,14 @@ def brute_force_expansion(
         passed_outside=max_outside <= cbound,
         passed_inside=max_inside <= cbound,
     )
+
+
+def empirical_covariance(stream) -> np.ndarray:
+    """Two-pass reference for cov_sketch: the unsketched sample covariance."""
+    acc = np.zeros((stream.p, stream.p))
+    for xi in stream.samples():
+        acc += np.outer(xi, xi)
+    return acc / stream.n
 
 
 def full_sparse_lp(op, Y) -> float:

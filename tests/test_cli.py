@@ -302,7 +302,11 @@ def test_phase_diagram_bad_counts_are_usage_errors(extra, tmp_path, capsys):
     assert not (tmp_path / "phase.csv").exists()
 
 
-@pytest.mark.parametrize("change", [{"m": None}, {"mode": "exactt"}])
+@pytest.mark.parametrize("change", [
+    {"m": None}, {"mode": "exactt"}, {"delta": "3"}, {"mode": "constrained", "kappa": "1"},
+    {"mode": "constrained", "kappa_grid": [1, "x"]}, {"kapa": 0.5}, {"seed": 1.5},
+    {"seed": -1}, {"mode": "constrained", "kappa": -1.0},
+    {"mode": "constrained", "kappa_grid": [0.5, 0]}])
 def test_cov_sketch_bad_pipeline_is_a_config_error(change, tmp_path, capsys):
     cfg = {"p": 12, "d": 2, "n": 500, "m": 9, "delta": 3, "seed": 4, "mode": "exact"}
     cfg.update(change)

@@ -19,17 +19,12 @@ from matsketch.ensemble import (
     gen_screened_graph,
     load_graph,
     load_matrix_csv,
-    load_support,
-    neighbors,
-    project_support,
     prop1_degree_bound,
     save_graph,
     save_matrix_csv,
-    save_support,
-    tensor_neighbors,
 )
 from matsketch.pipelines import gen_bounded_degree_graph, gen_distributed_covariance
-
+from matsketch.verify import check_expansion
 from oracles import brute_force_tensor_neighbors
 
 
@@ -84,42 +79,14 @@ def test_default_delta():
     assert default_delta(2) == 2
 
 
-# --- neighborhoods ----------------------------------------------------------
-
-
-def test_neighbors_empty_set(hand_graph):
-    assert neighbors(hand_graph, set()) == set()
-
-
-def test_neighbors_contained_in_right_side():
-    g = gen_left_regular(12, 5, 3, 9)
-    assert neighbors(g, range(12)) <= set(range(5))
-
-
-def test_neighbors_hand_fixture(hand_graph):
-    assert neighbors(hand_graph, {1, 2}) == {0, 1}
-    assert neighbors(hand_graph, {0}) == {0, 1}
-
-
-def test_neighbors_rejects_out_of_range(hand_graph):
+def test_tensor_graph_requires_matching_shapes():
     with pytest.raises(ParameterError):
-        neighbors(hand_graph, {3})
-
-
-def test_tensor_neighbors_single_cell_is_cartesian_product():
-    g = BipartiteGraph(p=2, m=5, delta=2, edges=np.array([[1, 3], [0, 0]]))
-    tg = TensorGraph(g, g)
-    sup = Support.from_cells(2, [(0, 0)])
-    assert tensor_neighbors(tg, sup) == {(1, 1), (1, 3), (3, 1), (3, 3)}
-
-
-def test_tensor_neighbors_diagonal_matches_brute_force(hand_graph):
-    tg = TensorGraph(hand_graph, hand_graph)
-    sup = Support.from_cells(3, [(i, i) for i in range(3)])
-    assert tensor_neighbors(tg, sup) == brute_force_tensor_neighbors(tg, sup)
+        TensorGraph(gen_left_regular(3, 2, 1, 0), gen_left_regular(4, 2, 1, 0))
 
 
 def test_tensor_neighbors_exhaustive_oracle_small_instances():
+    # |N(Omega)| from check_expansion against the set-union oracle, with g2 of
+    # degree 3 beside g1 of degree 2
     rng = np.random.default_rng(5)
     for trial in range(25):
         p = int(rng.integers(2, 9))
@@ -128,20 +95,9 @@ def test_tensor_neighbors_exhaustive_oracle_small_instances():
         g2 = gen_left_regular(p, m, 3, int(rng.integers(1 << 31)))
         tg = TensorGraph(g1, g2)
         sup = gen_distributed_support(p, min(2, p), int(rng.integers(1 << 31)))
-        assert tensor_neighbors(tg, sup) == brute_force_tensor_neighbors(tg, sup)
-
-
-def test_tensor_graph_requires_matching_shapes():
-    with pytest.raises(ParameterError):
-        TensorGraph(gen_left_regular(3, 2, 1, 0), gen_left_regular(4, 2, 1, 0))
-
-
-def test_tensor_neighbors_monotone_under_support_growth():
-    g = gen_left_regular(8, 5, 2, 3)
-    tg = TensorGraph(g, g)
-    small = gen_distributed_support(8, 2, 1)
-    large = Support.from_cells(8, set(small.cells) | {(0, 3), (5, 2)})
-    assert tensor_neighbors(tg, small) <= tensor_neighbors(tg, large)
+        assert check_expansion(tg, sup).neighborhood_size == len(
+            brute_force_tensor_neighbors(tg, sup)
+        )
 
 
 # --- supports ---------------------------------------------------------------
@@ -298,28 +254,6 @@ def test_degree_of_sparsity_patterns():
     assert degree_of_sparsity(np.zeros((3, 3))) == 0
 
 
-def test_project_support_partitions_l1_mass():
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((8, 8))
-    sup = gen_distributed_support(8, 3, 6)
-    on = project_support(X, sup)
-    comp = Support.from_cells(
-        8, {(i, j) for i in range(8) for j in range(8)} - set(sup.cells)
-    )
-    off = project_support(X, comp)
-    assert np.allclose(on + off, X)
-    assert np.isclose(np.abs(on).sum() + np.abs(off).sum(), np.abs(X).sum())
-    # idempotent, and the full grid changes nothing
-    assert np.array_equal(project_support(on, sup), on)
-    full = Support.from_cells(8, {(i, j) for i in range(8) for j in range(8)})
-    assert np.array_equal(project_support(X, full), X)
-
-
-def test_project_support_diagonal_of_arrow():
-    sup = Support.from_cells(5, [(i, i) for i in range(5)])
-    assert np.array_equal(project_support(arrow_matrix(5), sup), np.eye(5))
-
-
 # --- collision screening ----------------------------------------------------
 
 
@@ -366,13 +300,6 @@ def test_graph_round_trip(tmp_path):
     assert np.array_equal(g.edges, h.edges)
     first = path.read_text().splitlines()[0]
     assert first == "7 4 3"
-
-
-def test_support_round_trip(tmp_path):
-    sup = gen_distributed_support(9, 3, 21)
-    path = tmp_path / "s.txt"
-    save_support(sup, path)
-    assert load_support(path, 9) == sup
 
 
 def test_matrix_csv_round_trip(tmp_path):

@@ -175,3 +175,12 @@ def test_operator_properties():
     assert op.shared_ab
     op2 = SketchOperator.from_graphs(g, gen_left_regular(6, 4, 2, 2))
     assert not op2.shared_ab
+
+
+def test_shared_ab_requires_b_equal_to_a():
+    # a false flag would make the solvers use A's Gram matrix for B
+    A = gen_left_regular(12, 6, 2, 1).adjacency()
+    B = gen_left_regular(12, 6, 2, 2).adjacency()
+    with pytest.raises(ParameterError):
+        SketchOperator(A=A, B=B, shared_ab=True)
+    assert SketchOperator(A=A, B=A.copy(), shared_ab=True).shared_ab

@@ -28,6 +28,8 @@ from matsketch.pipelines import (
     select_kappa_cv,
 )
 
+from oracles import empirical_covariance
+
 
 # --- covariance sketching ---------------------------------------------------
 
@@ -51,7 +53,7 @@ def test_distributed_covariance_is_pd_and_sparse():
 def test_sample_stream_converges_to_sigma():
     sigma = gen_distributed_covariance(10, 2, 3)
     stream = SampleStream(sigma=sigma, n=100_000, seed=7)
-    emp = stream.empirical_covariance()
+    emp = empirical_covariance(stream)
     rel = np.abs(emp - sigma).sum() / np.abs(sigma).sum()
     assert rel < 0.05
 
@@ -67,14 +69,14 @@ def test_cov_sketch_equals_two_pass_identity():
     stream = SampleStream(sigma=sigma, n=50, seed=11)
     A = gen_screened_graph(8, 5, 2, 3).adjacency()
     lhs = cov_sketch(stream, A)
-    rhs = A @ stream.empirical_covariance() @ A.T
+    rhs = A @ empirical_covariance(stream) @ A.T
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_cov_sketch_identity_partition_is_empirical_covariance():
     sigma = gen_distributed_covariance(6, 2, 9)
     stream = SampleStream(sigma=sigma, n=40, seed=2)
-    assert np.allclose(cov_sketch(stream, np.eye(6)), stream.empirical_covariance())
+    assert np.allclose(cov_sketch(stream, np.eye(6)), empirical_covariance(stream))
 
 
 def test_recover_covariance_identity_sigma():
@@ -118,10 +120,10 @@ def test_select_kappa_cv_returns_grid_element():
     stream = SampleStream(sigma=sigma, n=30, seed=5)
     A = gen_screened_graph(8, 5, 2, 2).adjacency()
     grid = np.array([0.5, 2.0, 8.0])
-    kappa = select_kappa_cv(A, stream, n_folds=3, grid=grid)
+    kappa = select_kappa_cv(A, stream, grid=grid)
     assert kappa in grid
     with pytest.raises(ParameterError):
-        select_kappa_cv(A, SampleStream(sigma=sigma, n=2, seed=0), n_folds=3)
+        select_kappa_cv(A, SampleStream(sigma=sigma, n=2, seed=0))
 
 
 # --- graph sketching --------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -35,6 +33,13 @@ def test_expansion_single_edge_graph():
     assert rep.max_collision_inside <= 1
 
 
+def test_expansion_single_cell_neighborhood_is_cartesian_product():
+    # N({(0, 0)}) = {1, 3} x {1, 3}
+    g = BipartiteGraph(p=2, m=5, delta=2, edges=np.array([[1, 3], [0, 0]]))
+    rep = check_expansion(TensorGraph(g, g), Support.from_cells(2, [(0, 0)]))
+    assert rep.neighborhood_size == 4
+
+
 def test_expansion_matches_brute_force_on_hand_fixture(hand_graph):
     tg = TensorGraph(hand_graph, hand_graph)
     sup = gen_distributed_support(3, 2, 1)
@@ -63,8 +68,6 @@ def test_expansion_report_bounds_and_json():
     assert rep.neighborhood_size <= 16  # m^2
     assert rep.max_collision_outside <= 4  # delta^2
     assert rep.max_collision_inside <= 4
-    payload = json.loads(rep.to_json())
-    assert payload["neighborhood_size"] == rep.neighborhood_size
     assert rep.passed_all == (
         rep.passed_size and rep.passed_outside and rep.passed_inside
     )
