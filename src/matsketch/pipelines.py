@@ -61,40 +61,69 @@ def gen_distributed_covariance(
     return sigma
 
 
+#: samples SampleStream draws and transforms in one block
+_BLOCK = 256
+
+
 @dataclass
 class SampleStream:
-    """Seeded source of i.i.d. Gaussian p-vectors with covariance sigma."""
+    """Seeded source of n i.i.d. Gaussian p-vectors with covariance sigma,
+    read in blocks of at most _BLOCK samples."""
 
     sigma: np.ndarray
     n: int
     seed: int
 
     def __post_init__(self):
-        w, V = scipy.linalg.eigh(self.sigma)
+        if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
+            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        sigma = self.sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise ParameterError(f"sigma must be square, got shape {sigma.shape}")
+        if not np.array_equal(sigma, sigma.T):
+            raise ParameterError("sigma must be symmetric")
+        w, V = scipy.linalg.eigh(sigma)
         if w.min() < -1e-10 * max(1.0, w.max()):
             raise ParameterError("sigma is not positive semidefinite")
-        self._factor = V * np.sqrt(np.maximum(w, 0.0))  # symmetric square root
+        self._factor = V * np.sqrt(np.maximum(w, 0.0))  # F with F F^T = sigma
 
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
 
+    def _blocks(self):
+        """Yield the samples as the rows of k x p blocks, k <= _BLOCK. The
+        block draws are the per-sample draws, in the same order."""
+        rng = np.random.default_rng(self.seed)
+        for start in range(0, self.n, _BLOCK):
+            k = min(_BLOCK, self.n - start)
+            yield rng.standard_normal((k, self.p)) @ self._factor.T
+
     def samples(self):
         """Yield the n samples one at a time (nothing p-dimensional is kept
-        beyond the current sample)."""
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.n):
-            yield self._factor @ rng.standard_normal(self.p)
+        beyond the current block)."""
+        for block in self._blocks():
+            yield from block
+
+
+def _sketch_matrix(A: np.ndarray, stream: SampleStream) -> np.ndarray:
+    """A as a new float array, checked to have one column per coordinate of
+    the stream's samples."""
+    A = np.array(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != stream.p:
+        raise ParameterError(f"A has shape {A.shape}, need {stream.p} columns")
+    return A
 
 
 def cov_sketch(stream: SampleStream, A: np.ndarray) -> np.ndarray:
     """Sketch-domain empirical covariance (1/n) sum of (A xi)(A xi)^T,
-    accumulated in one pass over the sketched samples."""
-    m = A.shape[0]
-    acc = np.zeros((m, m))
-    for xi in stream.samples():
-        z = A @ xi
-        acc += np.outer(z, z)
+    accumulated in one pass over the stream as Z^T Z per block of sketched
+    samples Z."""
+    A = _sketch_matrix(A, stream)
+    acc = np.zeros((A.shape[0], A.shape[0]))
+    for block in stream._blocks():
+        Z = block @ A.T
+        acc += Z.T @ Z
     return acc / stream.n
 
 
@@ -150,26 +179,25 @@ def select_kappa_cv(
     recovers from the training-half sketch covariance and scores the
     held-out sketch covariance in Frobenius norm.
     """
-    samples = [np.asarray(A) @ xi for xi in stream.samples()]
-    n = len(samples)
+    A = _sketch_matrix(A, stream)
+    Z = np.concatenate([block @ A.T for block in stream._blocks()])  # sketched samples
+    n = len(Z)
     if n < 5:
         raise ParameterError("need at least one sample per fold")
-    full = sum(np.outer(z, z) for z in samples) / n
     if grid is None:
-        grid = np.linalg.norm(full) * (2.0 ** np.arange(-8, 5, dtype=float))
+        grid = np.linalg.norm(Z.T @ Z / n) * (2.0 ** np.arange(-8, 5, dtype=float))
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     folds = np.array_split(order, 5)
 
+    op = SketchOperator(A=A, B=A, shared_ab=True)
     scores = np.zeros(len(grid))
     for fold in folds:
-        held = set(fold.tolist())
-        train = [samples[i] for i in range(n) if i not in held]
-        val = [samples[i] for i in fold]
-        y_train = sum(np.outer(z, z) for z in train) / len(train)
-        y_val = sum(np.outer(z, z) for z in val) / len(val)
-        y_train = 0.5 * (y_train + y_train.T)
-        op = SketchOperator(A=np.array(A, dtype=float), B=np.array(A, dtype=float), shared_ab=True)
+        train = np.ones(n, dtype=bool)
+        train[fold] = False
+        Z_train, Z_val = Z[train], Z[fold]
+        y_train = Z_train.T @ Z_train / len(Z_train)
+        y_val = Z_val.T @ Z_val / len(Z_val)
         for k, kappa in enumerate(grid):
             res = solve_constrained(op, y_train, float(kappa), opts)
             scores[k] += np.linalg.norm(op.forward(res.x) - y_val)

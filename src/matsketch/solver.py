@@ -362,40 +362,45 @@ def solve_p2(
     from the last accepted iterate replaces it and the momentum restarts;
     by the descent lemma that step does not raise the objective, and the
     iterate is kept only if rounding makes it do so.
+
+    An iteration makes one forward: the objective of a new iterate needs
+    its residual R = A X B^T - Y, and since the operator is linear the
+    extrapolated point V = X_new + beta (X_new - X) has the residual
+    R_new + beta (R_new - R), from which the gradient is taken. Every R
+    of an iterate comes fresh from forward, so no error accumulates.
     """
     Y = np.asarray(Y, dtype=float)
     if lam <= 0:
         raise ParameterError("lam must be positive")
     step = 1.0 / (2.0 * _operator_sq_norm(op))
 
-    def smooth(X):
+    def residual_and_objective(X):
         R = op.forward(X) - Y
-        return float(np.sum(R * R))
-
-    def objective(X):
-        return smooth(X) + lam * float(np.abs(X).sum())
+        return R, float(np.sum(R * R)) + lam * float(np.abs(X).sum())
 
     X = np.zeros((op.p1, op.p2)) if x0 is None else np.array(x0, dtype=float)
-    V = X.copy()
+    R, F = residual_and_objective(X)
+    V, R_V = X, R
     t = 1.0
-    F = objective(X)
     for iterations in range(1, opts.max_iter + 1):
-        G = 2.0 * op.adjoint(op.forward(V) - Y)
+        G = 2.0 * op.adjoint(R_V)
         X_new = soft_threshold(V - step * G, lam * step)
-        F_new = objective(X_new)
+        R_new, F_new = residual_and_objective(X_new)
         if F_new > F:
             # momentum overshoot: restart with a proximal step from X
-            G = 2.0 * op.adjoint(op.forward(X) - Y)
+            G = 2.0 * op.adjoint(R)
             X_new = soft_threshold(X - step * G, lam * step)
-            F_new = objective(X_new)
+            R_new, F_new = residual_and_objective(X_new)
             if F_new > F:
-                X_new, F_new = X, F
+                X_new, R_new, F_new = X, R, F
             t = 1.0
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        V = X_new + ((t - 1.0) / t_new) * (X_new - X)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        V = X_new + beta * (X_new - X)
+        R_V = R_new + beta * (R_new - R)
         t = t_new
         done = abs(F - F_new) <= opts.tol_obj * (1.0 + abs(F_new))
-        X, F = X_new, F_new
+        X, R, F = X_new, R_new, F_new
         if done:
             break
 

@@ -64,6 +64,39 @@ def test_sample_stream_rejects_indefinite_sigma():
         SampleStream(sigma=bad, n=5, seed=0)
 
 
+@pytest.mark.parametrize("sigma, n", [
+    (np.eye(3), 0),
+    (np.eye(3), -3),
+    (np.eye(3), 2.5),
+    (np.ones((2, 3)), 5),
+    (np.array([[2.0, 1.0], [0.0, 2.0]]), 5),
+], ids=["n-zero", "n-negative", "n-fractional", "sigma-nonsquare", "sigma-asymmetric"])
+def test_sample_stream_rejects_bad_n_or_sigma(sigma, n):
+    with pytest.raises(ParameterError):
+        SampleStream(sigma=sigma, n=n, seed=0)
+
+
+def test_cov_sketch_rejects_a_with_the_wrong_column_count():
+    stream = SampleStream(sigma=np.eye(6), n=10, seed=0)
+    with pytest.raises(ParameterError):
+        cov_sketch(stream, np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2100])
+def test_cov_sketch_and_samples_at_the_block_seams(n):
+    sigma = gen_distributed_covariance(12, 3, 4)
+    stream = SampleStream(sigma=sigma, n=n, seed=derive_seed(3, "seam", n))
+    A = gen_screened_graph(12, 7, 2, 5).adjacency()
+    ref = A @ empirical_covariance(stream) @ A.T
+    assert np.linalg.norm(cov_sketch(stream, A) - ref) <= 1e-12 * np.linalg.norm(ref)
+    rows = list(stream.samples())
+    assert len(rows) == n
+    rng = np.random.default_rng(stream.seed)
+    for row in rows:
+        one = stream._factor @ rng.standard_normal(stream.p)  # drawn one at a time
+        assert np.linalg.norm(row - one) <= 1e-13 * np.linalg.norm(one)
+
+
 def test_cov_sketch_equals_two_pass_identity():
     sigma = gen_distributed_covariance(8, 2, 5)
     stream = SampleStream(sigma=sigma, n=50, seed=11)

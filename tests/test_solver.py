@@ -451,6 +451,16 @@ def test_constrained_meets_radius_on_random_instances(seed, f):
     assert loose.objective <= res.objective * (1 + 1e-6)
 
 
+def criterion_10_inputs(t):
+    """Sketching matrix, sketch and radius of criterion 10's pipeline t."""
+    seed = derive_seed(7, "c10", t)
+    sigma = gen_distributed_covariance(40, 4, derive_seed(seed, "sigma"), n_pairs=6)
+    stream = SampleStream(sigma=sigma, n=2100, seed=derive_seed(seed, "stream"))
+    A = gen_screened_graph(40, 21, 4, derive_seed(seed, "graph")).adjacency()
+    sz = cov_sketch(stream, A)
+    return A, sz, float(np.linalg.norm(sz - A @ sigma @ A.T))
+
+
 def test_constrained_criterion_10_pipelines_stay_under_the_iteration_cap(monkeypatch):
     calls = []
 
@@ -462,16 +472,74 @@ def test_constrained_criterion_10_pipelines_stay_under_the_iteration_cap(monkeyp
     monkeypatch.setattr(solver, "solve_p2", counted)
     for t in range(10):
         calls.clear()
-        seed = derive_seed(7, "c10", t)
-        sigma = gen_distributed_covariance(40, 4, derive_seed(seed, "sigma"), n_pairs=6)
-        stream = SampleStream(sigma=sigma, n=2100, seed=derive_seed(seed, "stream"))
-        A = gen_screened_graph(40, 21, 4, derive_seed(seed, "graph")).adjacency()
-        sz = cov_sketch(stream, A)
-        kappa = float(np.linalg.norm(sz - A @ sigma @ A.T))
+        A, sz, kappa = criterion_10_inputs(t)
         res = recover_covariance(A, sz, "constrained", kappa=kappa)
         assert res.converged
         assert calls and max(calls) < SolverOptions().max_iter
         assert sum(calls) < 5000
+
+
+# (t, iterations of each solve_p2 call, final lam) for criterion 10's
+# pipeline t: any rewrite of the FISTA loop must stop every call where it
+# stops here
+PINNED_P2_STOPS = [
+    (0, [168, 195, 244, 189, 266, 213, 184, 163, 71, 57], 34.84521143757805),
+    (1, [125, 179, 264, 130, 103, 116, 75, 67, 66], 38.52945927900247),
+    (2, [132, 170, 175, 163, 70, 129, 64, 62, 60], 39.45936890508301),
+    (3, [168, 243, 227, 215, 173, 97, 112, 93, 68, 49], 42.51998149729266),
+    (4, [177, 150, 301, 141, 155, 146], 44.10739714979395),
+]
+
+
+@pytest.mark.parametrize("t, iterations, lam", PINNED_P2_STOPS,
+                         ids=[f"c10-{c[0]}" for c in PINNED_P2_STOPS])
+def test_p2_stop_decisions_are_pinned(t, iterations, lam, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        res = solve_p2(*args, **kwargs)
+        calls.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "solve_p2", counted)
+    A, sz, kappa = criterion_10_inputs(t)
+    res = recover_covariance(A, sz, "constrained", kappa=kappa)
+    assert calls == iterations
+    assert abs(res.diagnostics["lam"] - lam) <= 1e-9 * lam
+
+
+def test_p2_makes_one_forward_per_iteration(monkeypatch):
+    # every iteration calls soft_threshold once and a restart once more, so
+    # the calls beyond the iteration count are the restarts
+    counts = {"forward": 0, "prox": 0}
+    forward, prox = SketchOperator.forward, solver.soft_threshold
+
+    def counted_forward(self, X):
+        counts["forward"] += 1
+        return forward(self, X)
+
+    def counted_prox(X, t):
+        counts["prox"] += 1
+        return prox(X, t)
+
+    solves = []
+
+    def counted_p2(*args, **kwargs):
+        before = dict(counts)
+        res = solve_p2(*args, **kwargs)
+        solves.append((res.iterations, counts["forward"] - before["forward"],
+                       counts["prox"] - before["prox"] - res.iterations))
+        return res
+
+    monkeypatch.setattr(SketchOperator, "forward", counted_forward)
+    monkeypatch.setattr(solver, "soft_threshold", counted_prox)
+    monkeypatch.setattr(solver, "solve_p2", counted_p2)
+    for t in range(len(PINNED_P2_STOPS)):
+        A, sz, kappa = criterion_10_inputs(t)
+        recover_covariance(A, sz, "constrained", kappa=kappa)
+    assert solves
+    for iterations, forwards, restarts in solves:
+        assert forwards <= iterations + restarts + 2
 
 
 def test_constrained_rejects_negative_radius():
